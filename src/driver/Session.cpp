@@ -186,7 +186,7 @@ frontend::CompileOptions Session::compileOptions() const {
 
 void Session::reportUnitDiags(DiagnosticEngine &Unit,
                               const frontend::TUnit &U) {
-  std::vector<Diagnostic> Ds = Unit.diagnostics();
+  std::vector<Diagnostic> Ds = Unit.takeDiagnostics();
   frontend::remapDiagnostics(Ds, 0, U.Name, U.Pp.Map);
   for (Diagnostic &D : Ds)
     Diags.report(std::move(D));

@@ -312,8 +312,8 @@ private:
                                             bool &Ok);
   /// The shared per-TU compile configuration for load().
   frontend::CompileOptions compileOptions() const;
-  /// Remaps \p Unit's diagnostics through \p U's line map and re-reports
-  /// them into the session engine.
+  /// Moves \p Unit's diagnostics out, remaps them through \p U's line map
+  /// and re-reports them into the session engine.
   void reportUnitDiags(DiagnosticEngine &Unit, const frontend::TUnit &U);
   void publishCheckMetrics(bool FrontEndOk, const checker::CheckResult &Result,
                            const checker::ParallelStats &Pipeline);

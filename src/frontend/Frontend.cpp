@@ -40,30 +40,23 @@ TUnit stq::frontend::compileUnit(const std::string &Name,
 
 namespace {
 
-/// Builds the include-chain / macro-expansion notes for a line described
-/// by \p Info (innermost includer first, matching the preprocessor's own
-/// rendering).
-std::vector<Diagnostic> locationNotes(const pp::LineMap &Map,
-                                      const pp::LineInfo &Info) {
-  std::vector<Diagnostic> Notes;
-  if (!Info.Macro.empty()) {
-    Diagnostic N;
+/// Appends the include-chain / macro-expansion notes for a line described
+/// by \p Info to \p Out (innermost includer first, matching the
+/// preprocessor's own rendering).
+void appendLocationNotes(std::vector<Diagnostic> &Out, const pp::LineMap &Map,
+                         const pp::LineInfo &Info) {
+  auto note = [&](std::string Message) {
+    Diagnostic &N = Out.emplace_back();
     N.Severity = DiagSeverity::Note;
     N.Phase = "frontend";
-    N.Message = "in expansion of macro '" + Info.Macro +
-                "' (column is post-expansion)";
-    Notes.push_back(std::move(N));
-  }
+    N.Message = std::move(Message);
+  };
+  if (!Info.Macro.empty())
+    note("in expansion of macro '" + Info.Macro +
+         "' (column is post-expansion)");
   const std::vector<pp::IncludeFrame> &Stack = Map.stack(Info);
-  for (auto It = Stack.rbegin(); It != Stack.rend(); ++It) {
-    Diagnostic N;
-    N.Severity = DiagSeverity::Note;
-    N.Phase = "frontend";
-    N.Message =
-        "in file included from " + It->File + ":" + std::to_string(It->Line);
-    Notes.push_back(std::move(N));
-  }
-  return Notes;
+  for (auto It = Stack.rbegin(); It != Stack.rend(); ++It)
+    note("in file included from " + It->File + ":" + std::to_string(It->Line));
 }
 
 } // namespace
@@ -71,9 +64,13 @@ std::vector<Diagnostic> locationNotes(const pp::LineMap &Map,
 void stq::frontend::remapDiagnostics(std::vector<Diagnostic> &Diags,
                                      size_t From, const std::string &MainFile,
                                      const pp::LineMap &Map) {
-  for (size_t I = From; I < Diags.size(); ++I) {
-    Diagnostic &D = Diags[I];
-    if (!D.File.empty())
+  // One pass onto a new vector: each remapped diagnostic is followed by
+  // its notes, so nothing is inserted mid-vector.
+  std::vector<Diagnostic> Out;
+  Out.reserve(Diags.size());
+  for (size_t I = 0; I < Diags.size(); ++I) {
+    Diagnostic &D = Out.emplace_back(std::move(Diags[I]));
+    if (I < From || !D.File.empty())
       continue; // Already attributed (the preprocessor's own).
     if (!D.Loc.isValid()) {
       // Attachment notes stay bare; unit-level messages name the TU.
@@ -88,12 +85,9 @@ void stq::frontend::remapDiagnostics(std::vector<Diagnostic> &Diags,
     }
     D.File = Map.file(*Info);
     D.Loc = SourceLoc(Info->PhysLine, D.Loc.Col);
-    std::vector<Diagnostic> Notes = locationNotes(Map, *Info);
-    Diags.insert(Diags.begin() + static_cast<long>(I + 1),
-                 std::make_move_iterator(Notes.begin()),
-                 std::make_move_iterator(Notes.end()));
-    I += Notes.size();
+    appendLocationNotes(Out, Map, *Info);
   }
+  Diags = std::move(Out);
 }
 
 namespace {

@@ -108,6 +108,12 @@ unsigned DiagnosticEngine::countInPhase(const std::string &Phase) const {
   return N;
 }
 
+std::vector<Diagnostic> DiagnosticEngine::takeDiagnostics() {
+  std::vector<Diagnostic> Out = std::move(Diags);
+  clear();
+  return Out;
+}
+
 void DiagnosticEngine::clear() {
   Diags.clear();
   NumErrors = 0;

@@ -110,6 +110,9 @@ public:
   }
 
   const std::vector<Diagnostic> &diagnostics() const { return Diags; }
+  /// Moves every collected diagnostic out and resets the counters, like
+  /// clear().
+  std::vector<Diagnostic> takeDiagnostics();
 
   unsigned errorCount() const { return NumErrors; }
   unsigned warningCount() const { return NumWarnings; }

@@ -4,6 +4,7 @@
 
 #include <cassert>
 #include <cctype>
+#include <limits>
 
 using namespace stq;
 
@@ -280,29 +281,42 @@ void Lexer::lexToken(std::vector<Token> &Out) {
 }
 
 void Lexer::lexNumber(std::vector<Token> &Out, SourceLoc Start, char First) {
-  int64_t Value = 0;
+  // Accumulated unsigned and checked, so a literal past INT64_MAX is
+  // diagnosed instead of overflowing.
+  constexpr uint64_t Max = std::numeric_limits<int64_t>::max();
+  uint64_t Value = 0;
+  bool OutOfRange = false;
+  auto push = [&](unsigned Base, unsigned Digit) {
+    if (Value > (Max - Digit) / Base)
+      OutOfRange = true;
+    else
+      Value = Value * Base + Digit;
+  };
   if (First == '0' && (peek() == 'x' || peek() == 'X')) {
     advance();
     bool AnyDigit = false;
     while (std::isxdigit(static_cast<unsigned char>(peek()))) {
       char D = advance();
-      int Digit = std::isdigit(static_cast<unsigned char>(D))
-                      ? D - '0'
-                      : std::tolower(static_cast<unsigned char>(D)) - 'a' + 10;
-      Value = Value * 16 + Digit;
+      push(16, std::isdigit(static_cast<unsigned char>(D))
+                   ? D - '0'
+                   : std::tolower(static_cast<unsigned char>(D)) - 'a' + 10);
       AnyDigit = true;
     }
     if (!AnyDigit)
       error(Start, "hex literal requires at least one digit");
   } else {
-    Value = First - '0';
+    push(10, First - '0');
     while (std::isdigit(static_cast<unsigned char>(peek())))
-      Value = Value * 10 + (advance() - '0');
+      push(10, advance() - '0');
+  }
+  if (OutOfRange) {
+    error(Start, "integer literal out of range");
+    Value = 0;
   }
   Token T;
   T.Kind = TokenKind::IntLiteral;
   T.Loc = Start;
-  T.IntValue = Value;
+  T.IntValue = static_cast<int64_t>(Value);
   Out.push_back(T);
 }
 

@@ -10,6 +10,7 @@
 
 #include "cminus/Parser.h"
 #include "qual/QualParser.h"
+#include "support/Lexer.h"
 
 #include <gtest/gtest.h>
 
@@ -123,6 +124,38 @@ TEST(ParserRobustness, StrayBytesAreDiagnosedNotCrashedOn) {
   Src += "\n  return x;\n}\n";
   DiagnosticEngine Diags;
   auto Prog = cminus::parseProgram(Src, {}, Diags);
+  ASSERT_NE(Prog, nullptr);
+  EXPECT_TRUE(Diags.hasErrors());
+}
+
+TEST(ParserRobustness, IntegerLiteralRangeIsChecked) {
+  // The largest representable literal lexes exactly, in either base.
+  for (const char *Src : {"9223372036854775807", "0x7fffffffffffffff",
+                          "0x7FFFFFFFFFFFFFFF"}) {
+    DiagnosticEngine Diags;
+    std::vector<Token> Toks = Lexer(Src, Diags).tokenize();
+    EXPECT_FALSE(Diags.hasErrors()) << Src;
+    ASSERT_EQ(Toks.size(), 2u) << Src;
+    EXPECT_EQ(Toks[0].IntValue, INT64_MAX) << Src;
+  }
+  // One past it, and far past it, are diagnosed instead of wrapping
+  // (18446744073709551615 used to come out as -1). The literal in
+  // `-9223372036854775808` is out of range too: the minus is a separate
+  // operator.
+  for (const char *Src :
+       {"9223372036854775808", "18446744073709551615", "0x8000000000000000",
+        "0xffffffffffffffffff", "123456789012345678901234567890",
+        "-9223372036854775808"}) {
+    DiagnosticEngine Diags;
+    Lexer(Src, Diags).tokenize();
+    ASSERT_EQ(Diags.diagnostics().size(), 1u) << Src;
+    EXPECT_EQ(Diags.diagnostics()[0].Message, "integer literal out of range")
+        << Src;
+  }
+  // Through the parser: the program is rejected, not silently miscompiled.
+  DiagnosticEngine Diags;
+  auto Prog = cminus::parseProgram(
+      "int main() { int x = 18446744073709551615; return x; }\n", {}, Diags);
   ASSERT_NE(Prog, nullptr);
   EXPECT_TRUE(Diags.hasErrors());
 }
