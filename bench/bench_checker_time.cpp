@@ -8,7 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "checker/Checker.h"
-#include "checker/Inference.h"
+#include "checker/ConstraintInference.h"
 #include "driver/Session.h"
 #include "workloads/Workloads.h"
 
@@ -63,15 +63,15 @@ void printTable() {
   GeneratedWorkload W = makeGrepDfa();
   auto P = prepare(W, {"nonnull"});
   auto Start = std::chrono::steady_clock::now();
-  checker::InferenceOutcome Outcome =
-      checker::inferQualifiers(*P->Prog, P->quals());
+  checker::InferenceReport Report =
+      checker::inferWithConstraints(*P->Prog, P->quals(), {});
   double Secs = std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - Start)
                     .count();
   std::printf("=== Extension: qualifier inference ===\n");
   std::printf("grep-dfa (nonnull): inferred %u annotation(s) in %u "
-              "iteration(s), %.3fs\n",
-              Outcome.totalInferred(), Outcome.Iterations, Secs);
+              "round(s), %.3fs\n",
+              Report.totalInferred(), Report.Stats.SolveRounds, Secs);
   std::printf("(correctly zero: every grep pointer originates at malloc, "
               "which may be NULL - Table 1's annotations are assumptions "
               "discharged by casts, not derivable facts)\n");
@@ -92,11 +92,11 @@ void printTable() {
   IntOpts.Builtins = {"pos", "neg", "nonneg", "nonzero"};
   Session S2(IntOpts);
   auto Prog2 = S2.frontEnd(Derivable).Program;
-  auto Out2 = checker::inferQualifiers(*Prog2, S2.qualifiers());
+  auto Out2 = checker::inferWithConstraints(*Prog2, S2.qualifiers(), {});
   std::printf("constants-rooted module (pos/nonneg/nonzero): inferred %u "
-              "annotation(s) on %zu variable(s) - including the int pos "
+              "annotation(s) on %u variable(s) - including the int pos "
               "argument of scale() - with zero manual annotations\n\n",
-              Out2.totalInferred(), Out2.Inferred.size());
+              Out2.totalInferred(), Out2.Stats.Variables);
 }
 
 void benchChecker(benchmark::State &State, unsigned Scale, bool Memoize) {
@@ -119,8 +119,8 @@ static void BM_InferenceGrep(benchmark::State &State) {
   GeneratedWorkload W = makeGrepDfa();
   auto P = prepare(W, {"nonnull"});
   for (auto _ : State) {
-    auto Outcome = checker::inferQualifiers(*P->Prog, P->quals());
-    benchmark::DoNotOptimize(Outcome.totalInferred());
+    auto Report = checker::inferWithConstraints(*P->Prog, P->quals(), {});
+    benchmark::DoNotOptimize(Report.totalInferred());
   }
 }
 BENCHMARK(BM_InferenceGrep)->Unit(benchmark::kMillisecond);

@@ -8,9 +8,8 @@
 //   * cold at --jobs 1 and --jobs 4 (constraint generation + graph solve
 //     fan out; the per-phase `phase.infer_seconds` timer isolates the part
 //     the sharding can shrink),
-//   * warm against a shared prover cache (suggestion-minimization
-//     implication queries replay),
-//   * and through the fixpoint reference engine for comparison.
+//   * and warm against a shared prover cache (suggestion-minimization
+//     implication queries replay).
 //
 // Alongside the latencies the report records solver statistics, and the
 // process exits non-zero unless (a) the jobs-4 solve phase beats jobs-1
@@ -64,13 +63,11 @@ double inferPhaseSeconds(Session &S) {
 /// One inference run in a fresh Session. Returns the infer-phase seconds;
 /// the full report lands in \p Report when non-null.
 double inferOnce(const std::string &Source, unsigned Jobs,
-                 checker::InferenceEngine Engine,
                  prover::ProverCache *SharedCache = nullptr,
                  checker::InferenceReport *Report = nullptr) {
   SessionOptions Opts;
   Opts.Builtins = inferBuiltins();
   Opts.Jobs = Jobs;
-  Opts.Infer.Engine = Engine;
   Opts.SharedCache = SharedCache;
   Session S(Opts);
   Session::InferenceReport Out = S.infer(Source);
@@ -113,8 +110,7 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk) {
   checker::InferenceReport Report, Report4;
   double Jobs1 = 0, Jobs4 = 0, Solve1 = 0, Solve4 = 0;
   for (int I = 0; I < Reps; ++I) {
-    Jobs1 += inferOnce(Farm.Source, 1, checker::InferenceEngine::Constraints,
-                       nullptr, &Report);
+    Jobs1 += inferOnce(Farm.Source, 1, nullptr, &Report);
     Solve1 += Report.Stats.SolveSeconds;
   }
   Jobs1 /= Reps;
@@ -125,8 +121,7 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk) {
                          "-function farm, --jobs 1, cold prover cache",
                      Jobs1});
   for (int I = 0; I < Reps; ++I) {
-    Jobs4 += inferOnce(Farm.Source, 4, checker::InferenceEngine::Constraints,
-                       nullptr, &Report4);
+    Jobs4 += inferOnce(Farm.Source, 4, nullptr, &Report4);
     Solve4 += Report4.Stats.SolveSeconds;
   }
   Jobs4 /= Reps;
@@ -148,27 +143,15 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk) {
   // Warm shared prover cache: minimization implication queries replay.
   {
     prover::ProverCache Shared;
-    inferOnce(Farm.Source, 1, checker::InferenceEngine::Constraints, &Shared);
+    inferOnce(Farm.Source, 1, &Shared);
     double Warm = 0;
     for (int I = 0; I < Reps; ++I)
-      Warm += inferOnce(Farm.Source, 1,
-                        checker::InferenceEngine::Constraints, &Shared);
+      Warm += inferOnce(Farm.Source, 1, &Shared);
     Warm /= Reps;
     Entries.push_back({"infer_warm_cache_seconds",
                        "mean jobs-1 inference phase against a warm shared "
                        "prover cache (implication queries replay)",
                        Warm});
-  }
-
-  // The sequential fixpoint reference, for the differential's cost.
-  {
-    double Fix = 0;
-    for (int I = 0; I < Reps; ++I)
-      Fix += inferOnce(Farm.Source, 1, checker::InferenceEngine::Fixpoint);
-    Fix /= Reps;
-    Entries.push_back({"infer_fixpoint_seconds",
-                       "mean sequential fixpoint reference engine phase",
-                       Fix});
   }
 
   Entries.push_back({"farm_lines", "non-blank lines in the farm",
@@ -244,25 +227,15 @@ bool writeReport(const std::vector<ResultEntry> &Entries,
 
 } // namespace
 
-// The steady-state engine runs on their own, for --benchmark_filter runs.
+// The steady-state engine run on its own, for --benchmark_filter runs.
 static void BM_InferConstraintsJobs4(benchmark::State &State) {
   const std::string Source = workloads::makeInferenceFarm(FarmFunctions).Source;
   for (auto _ : State) {
-    double Phase =
-        inferOnce(Source, 4, checker::InferenceEngine::Constraints);
+    double Phase = inferOnce(Source, 4);
     benchmark::DoNotOptimize(Phase);
   }
 }
 BENCHMARK(BM_InferConstraintsJobs4)->Unit(benchmark::kMillisecond);
-
-static void BM_InferFixpoint(benchmark::State &State) {
-  const std::string Source = workloads::makeInferenceFarm(FarmFunctions).Source;
-  for (auto _ : State) {
-    double Phase = inferOnce(Source, 1, checker::InferenceEngine::Fixpoint);
-    benchmark::DoNotOptimize(Phase);
-  }
-}
-BENCHMARK(BM_InferFixpoint)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char **argv) {
   bool AcceptanceOk = false;

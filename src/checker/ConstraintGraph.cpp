@@ -4,7 +4,6 @@
 
 #include "cminus/Lowering.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace stq;
@@ -17,10 +16,10 @@ using namespace stq::cminus;
 
 namespace {
 
-/// Collects flow edges, the variable roster, and return flows for one unit.
+/// Collects flow edges and the variable roster for one unit.
 class UnitCollector {
 public:
-  UnitCollector(UnitFlows &Out, const FuncDecl *Fn) : Out(Out), Fn(Fn) {}
+  explicit UnitCollector(UnitFlows &Out) : Out(Out) {}
 
   void walkExpr(const Expr *E) {
     if (!E)
@@ -113,13 +112,9 @@ public:
       walkStmt(For->Body);
       return;
     }
-    case Stmt::Kind::Return: {
-      const auto *Ret = cast<ReturnStmt>(S);
-      walkExpr(Ret->Value);
-      if (Ret->Value && Fn)
-        Out.Returns.push_back({Fn, Ret->Value});
+    case Stmt::Kind::Return:
+      walkExpr(cast<ReturnStmt>(S)->Value);
       return;
-    }
     case Stmt::Kind::Break:
     case Stmt::Kind::Continue:
       return;
@@ -128,7 +123,6 @@ public:
 
 private:
   UnitFlows &Out;
-  const FuncDecl *Fn;
 };
 
 /// Appends every variable whose address is taken inside \p E (used for
@@ -194,7 +188,7 @@ void stq::checker::collectUnitFlows(const Program &Prog, unsigned Unit,
   for (const VarDecl *P : Fn->Params)
     Out.Vars.push_back(P);
   if (Fn->isDefinition()) {
-    UnitCollector C(Out, Fn);
+    UnitCollector C(Out);
     C.walkStmt(Fn->Body);
   }
 }
@@ -206,8 +200,6 @@ UnitFlows stq::checker::collectAllFlows(const Program &Prog) {
     collectUnitFlows(Prog, U, Unit);
     All.Edges.insert(All.Edges.end(), Unit.Edges.begin(), Unit.Edges.end());
     All.Vars.insert(All.Vars.end(), Unit.Vars.begin(), Unit.Vars.end());
-    All.Returns.insert(All.Returns.end(), Unit.Returns.begin(),
-                       Unit.Returns.end());
     All.AddrTaken.insert(All.AddrTaken.end(), Unit.AddrTaken.begin(),
                          Unit.AddrTaken.end());
   }
@@ -252,99 +244,4 @@ void stq::checker::collectReadVars(const Expr *E,
   default:
     return;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Round-based parallel worklist solve
-//===----------------------------------------------------------------------===//
-
-void ConstraintGraph::addConstraint(const VarDecl *Target, const Expr *RHS) {
-  unsigned Id = static_cast<unsigned>(Constraints.size());
-  Constraints.push_back({Target, RHS});
-  std::vector<const VarDecl *> Reads;
-  collectReadVars(RHS, Reads);
-  std::sort(Reads.begin(), Reads.end());
-  Reads.erase(std::unique(Reads.begin(), Reads.end()), Reads.end());
-  for (const VarDecl *V : Reads)
-    Dependents[V].push_back(Id);
-}
-
-ConstraintGraphStats ConstraintGraph::solve(const EvaluatorFactory &MakeEval,
-                                            unsigned Jobs, ThreadPool *Pool) {
-  ConstraintGraphStats Stats;
-  for (const auto &[Var, Quals] : Assumed)
-    Stats.Atoms += static_cast<unsigned>(Quals.size());
-  Stats.Constraints = static_cast<unsigned>(Constraints.size());
-  if (Jobs == 0)
-    Jobs = 1;
-
-  // Every constraint starts queued.
-  std::vector<unsigned> Worklist(Constraints.size());
-  for (unsigned I = 0; I < Worklist.size(); ++I)
-    Worklist[I] = I;
-  std::vector<char> Queued(Constraints.size(), 1);
-
-  while (!Worklist.empty()) {
-    ++Stats.SolveRounds;
-
-    // Partition the round's worklist into contiguous chunks; each chunk
-    // gets its own evaluator (own QualChecker memo) and a preassigned
-    // result slot, so the merged drop list is chunk-order deterministic
-    // (and the drop *set* is Jobs-independent: assumptions are frozen).
-    size_t Chunks =
-        Jobs <= 1 ? 1
-                  : std::min(Worklist.size(), static_cast<size_t>(Jobs) * 4);
-    size_t PerChunk = (Worklist.size() + Chunks - 1) / Chunks;
-    std::vector<std::vector<std::pair<const VarDecl *, std::string>>> Drops(
-        Chunks);
-    std::vector<uint64_t> Evals(Chunks, 0);
-
-    parallelFor(
-        Jobs, Chunks,
-        [&](size_t C) {
-          Evaluator Eval = MakeEval(Assumed);
-          size_t Begin = C * PerChunk;
-          size_t End = std::min(Begin + PerChunk, Worklist.size());
-          for (size_t I = Begin; I < End; ++I) {
-            const Constraint &Cn = Constraints[Worklist[I]];
-            auto Found = Assumed.find(Cn.Target);
-            if (Found == Assumed.end() || Found->second.empty())
-              continue;
-            for (const std::string &Q : Found->second) {
-              ++Evals[C];
-              if (!Eval(Cn, Q))
-                Drops[C].push_back({Cn.Target, Q});
-            }
-          }
-        },
-        nullptr, Pool);
-
-    for (uint64_t N : Evals)
-      Stats.Evaluations += N;
-
-    // Barrier: apply the round's drops and queue dependents.
-    std::fill(Queued.begin(), Queued.end(), 0);
-    bool AnyDropped = false;
-    for (const auto &Chunk : Drops) {
-      for (const auto &[Var, Q] : Chunk) {
-        auto Found = Assumed.find(Var);
-        if (Found == Assumed.end() || !Found->second.erase(Q))
-          continue; // Another constraint already dropped it this round.
-        ++Stats.Dropped;
-        AnyDropped = true;
-        auto Deps = Dependents.find(Var);
-        if (Deps == Dependents.end())
-          continue;
-        for (unsigned Id : Deps->second)
-          Queued[Id] = 1;
-      }
-    }
-    if (!AnyDropped)
-      break;
-    Worklist.clear();
-    for (unsigned I = 0; I < Queued.size(); ++I)
-      if (Queued[I])
-        Worklist.push_back(I);
-  }
-  return Stats;
 }

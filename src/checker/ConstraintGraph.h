@@ -1,4 +1,4 @@
-//===- ConstraintGraph.h - Qualifier-variable constraint graph --*- C++ -*-===//
+//===- ConstraintGraph.h - Inference flow collection -----------*- C++ -*-===//
 //
 // Part of the stq project: a reproduction of "Semantic Type Qualifiers"
 // (Chin, Markstrum, Millstein; PLDI 2005).
@@ -6,25 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The whole-program qualifier constraint graph: one atom per (variable,
-/// candidate qualifier) pair, one constraint per flow into a variable, and
-/// a round-based parallel worklist solve.
+/// Flow collection for qualifier inference: one edge per flow into a
+/// variable (assignment, initializer, or call argument), plus each
+/// unit's variable roster and address-taken set.
 ///
-/// Construction is shardable: `collectUnitFlows` produces the flow edges of
+/// Collection is shardable: `collectUnitFlows` produces the flow edges of
 /// one unit (unit 0 is the globals; unit 1+i is function i, parameters plus
 /// body) so generation fans out on the ThreadPool, and merging the units in
 /// index order reproduces the exact edge order a sequential walk yields.
-///
-/// The solve is a Jacobi-style greatest-fixpoint iteration: each round
-/// evaluates every queued constraint against a *frozen* snapshot of the
-/// current assumptions, applies the resulting qualifier drops between
-/// rounds, and re-queues only constraints depending on a dropped variable.
-/// Because rounds are barriers over frozen state, the drop set per round —
-/// and therefore the final fixpoint, the round count, and the evaluation
-/// count — is identical at every `--jobs` value. (The sequential reference
-/// engine in Inference.cpp is Gauss-Seidel over the same edges; both
-/// converge to the same greatest fixpoint since the drop operator is
-/// monotone.)
+/// The constraint solve over these edges lives in ConstraintInference.cpp;
+/// the sequential reference in Inference.cpp walks the same edges.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,13 +23,7 @@
 #define STQ_CHECKER_CONSTRAINTGRAPH_H
 
 #include "cminus/AST.h"
-#include "support/ThreadPool.h"
 
-#include <cstdint>
-#include <functional>
-#include <map>
-#include <set>
-#include <string>
 #include <vector>
 
 namespace stq::checker {
@@ -50,23 +35,14 @@ struct FlowEdge {
   const cminus::Expr *RHS = nullptr;
 };
 
-/// A `return e;` flow into a function's return type (not consumed by the
-/// value-qualifier solve, which infers variable annotations only; the
-/// two-point taint differential uses it).
-struct ReturnFlow {
-  const cminus::FuncDecl *Fn = nullptr;
-  const cminus::Expr *Value = nullptr;
-};
-
 /// Flow edges and variable roster of one shardable generation unit.
 struct UnitFlows {
   std::vector<FlowEdge> Edges;
   std::vector<const cminus::VarDecl *> Vars;
-  std::vector<ReturnFlow> Returns;
   /// Variables whose address is taken somewhere in the unit. Qualifiers
   /// are invariant below pointers, so inferring a new qualifier on an
   /// address-taken variable would retype every `&v` and break re-checking;
-  /// both engines exclude these from seeding.
+  /// the solve and the reference both exclude these from seeding.
   std::vector<const cminus::VarDecl *> AddrTaken;
 };
 
@@ -74,9 +50,9 @@ struct UnitFlows {
 unsigned flowUnitCount(const cminus::Program &Prog);
 
 /// Collects unit \p Unit's flows. Unit 0: global roster + initializer
-/// edges. Unit 1+i: function i's parameter roster, plus local roster,
-/// assignment/initializer/call-argument edges and return flows when it is
-/// a definition. Call-argument edges may target another unit's parameters.
+/// edges. Unit 1+i: function i's parameter roster, plus local roster and
+/// assignment/initializer/call-argument edges when it is a definition.
+/// Call-argument edges may target another unit's parameters.
 void collectUnitFlows(const cminus::Program &Prog, unsigned Unit,
                       UnitFlows &Out);
 
@@ -88,62 +64,6 @@ UnitFlows collectAllFlows(const cminus::Program &Prog);
 /// dependency set of a constraint on its right-hand side).
 void collectReadVars(const cminus::Expr *E,
                      std::vector<const cminus::VarDecl *> &Out);
-
-struct ConstraintGraphStats {
-  unsigned Atoms = 0;       ///< Seeded (variable, qualifier) candidates.
-  unsigned Constraints = 0; ///< Flow constraints in the graph.
-  unsigned SolveRounds = 0; ///< Jacobi rounds until the worklist drained.
-  uint64_t Evaluations = 0; ///< (constraint, qualifier) checks performed.
-  unsigned Dropped = 0;     ///< Atoms refuted during the solve.
-};
-
-/// The constraint graph proper: candidate atoms, flow constraints, and the
-/// parallel worklist solve. The graph does not know how to evaluate a
-/// constraint — the caller supplies an evaluator (a QualChecker wrapper)
-/// so the graph stays independent of checker internals.
-class ConstraintGraph {
-public:
-  /// Candidate assumptions, in the exact shape CheckerOptions::
-  /// AssumedVarQuals consumes.
-  using Assumptions = std::map<const cminus::VarDecl *, std::set<std::string>>;
-
-  struct Constraint {
-    const cminus::VarDecl *Target = nullptr;
-    const cminus::Expr *RHS = nullptr;
-  };
-
-  /// Answers "can this constraint's right-hand side be given qualifier
-  /// \p Qual under the frozen assumptions the evaluator was built with?".
-  using Evaluator =
-      std::function<bool(const Constraint &, const std::string &Qual)>;
-  /// Builds one evaluator per worker chunk per round; the argument is the
-  /// frozen assumption snapshot (stable for the evaluator's lifetime).
-  using EvaluatorFactory = std::function<Evaluator(const Assumptions &)>;
-
-  /// Seeds the optimistic candidate atom (Var, Qual).
-  void addCandidate(const cminus::VarDecl *Var, const std::string &Qual) {
-    Assumed[Var].insert(Qual);
-  }
-
-  /// Adds a constraint \p Target <- \p RHS whose evaluation depends on the
-  /// variables read inside RHS (computed conservatively here).
-  void addConstraint(const cminus::VarDecl *Target, const cminus::Expr *RHS);
-
-  const Assumptions &assumptions() const { return Assumed; }
-  const std::vector<Constraint> &constraints() const { return Constraints; }
-
-  /// Runs the round-based worklist solve; on return `assumptions()` holds
-  /// the greatest fixpoint. Deterministic at any \p Jobs value. \p Pool,
-  /// when non-null, is a shared long-lived pool (the stqd daemon's).
-  ConstraintGraphStats solve(const EvaluatorFactory &MakeEvaluator,
-                             unsigned Jobs, ThreadPool *Pool = nullptr);
-
-private:
-  Assumptions Assumed;
-  std::vector<Constraint> Constraints;
-  /// Variable -> indices of constraints whose evaluation reads it.
-  std::map<const cminus::VarDecl *, std::vector<unsigned>> Dependents;
-};
 
 } // namespace stq::checker
 

@@ -2,14 +2,12 @@
 
 #include "checker/ConstraintInference.h"
 
-#include "checker/Inference.h"
+#include "checker/ConstraintGraph.h"
 #include "cminus/Lowering.h"
 #include "prover/Formula.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <tuple>
 
@@ -22,16 +20,6 @@ using namespace stq::qual;
 // Names
 //===----------------------------------------------------------------------===//
 
-const char *stq::checker::engineName(InferenceEngine E) {
-  switch (E) {
-  case InferenceEngine::Fixpoint:
-    return "fixpoint";
-  case InferenceEngine::Constraints:
-    return "constraints";
-  }
-  return "constraints";
-}
-
 const char *stq::checker::scopeName(InferenceScope S) {
   switch (S) {
   case InferenceScope::Program:
@@ -40,19 +28,6 @@ const char *stq::checker::scopeName(InferenceScope S) {
     return "locals";
   }
   return "program";
-}
-
-bool stq::checker::parseEngineName(const std::string &Name,
-                                   InferenceEngine &Out) {
-  if (Name == "fixpoint") {
-    Out = InferenceEngine::Fixpoint;
-    return true;
-  }
-  if (Name == "constraints") {
-    Out = InferenceEngine::Constraints;
-    return true;
-  }
-  return false;
 }
 
 bool stq::checker::parseScopeName(const std::string &Name,
@@ -89,6 +64,10 @@ unsigned InferenceReport::totalInferred() const {
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// Candidate assumptions per variable, in the exact shape
+/// CheckerOptions::AssumedVarQuals consumes.
+using Assumptions = std::map<const VarDecl *, std::set<std::string>>;
 
 struct VarInfo {
   unsigned Unit = 0;
@@ -261,20 +240,14 @@ private:
   std::map<std::pair<std::string, std::string>, bool> Memo;
 };
 
-/// Shared by both engines: re-keys a solved assumption map into the
-/// deterministic report shape, runs prover minimization (constraint engine
-/// only), and applies the suggestion budget.
+/// Re-keys the solved assumption map into the deterministic report shape,
+/// runs prover minimization, and applies the suggestion budget.
 void buildSuggestions(const Program &Prog, const QualifierSet &Quals,
                       const ConstraintInferenceOptions &Options,
-                      const std::map<const VarDecl *, std::set<std::string>>
-                          &InferredByVar,
-                      bool Minimize, const char *DefaultProvenance,
+                      const Assumptions &InferredByVar,
                       InferenceReport &Report) {
   std::map<const VarDecl *, VarInfo> Info = buildVarInfo(Prog);
-
-  std::unique_ptr<ImplicationOracle> Oracle;
-  if (Minimize && Options.ProverRefinement)
-    Oracle = std::make_unique<ImplicationOracle>(Quals, Options, Report.Stats);
+  ImplicationOracle Oracle(Quals, Options, Report.Stats);
 
   for (const auto &[Var, Set] : InferredByVar) {
     // Only qualifiers not already declared are suggestions.
@@ -312,25 +285,23 @@ void buildSuggestions(const Program &Prog, const QualifierSet &Quals,
     for (const std::string &Q : Fresh) {
       SuggestedQual SQ;
       SQ.Qual = Q;
-      SQ.Provenance = DefaultProvenance;
-      if (Oracle) {
-        // Q is demoted when some other inferred qualifier P strictly
-        // implies it (or implies it mutually and wins the lexicographic
-        // tie). The implication is pairwise, but demotions compose: a
-        // demoted P still derives Q at check time through the clause
-        // chain, so Q need not be re-promoted when P is demoted too.
-        for (const std::string &P : Demoters) {
-          if (P == Q || !Oracle->implies(P, Q))
-            continue;
-          // A mutual implication inside the fresh set is an equivalence
-          // class: keep the lexicographically smallest member. A declared
-          // demoter always wins — it stays on the type regardless.
-          if (!Declared.count(P) && Oracle->implies(Q, P) && P >= Q)
-            continue;
-          SQ.Implied = true;
-          SQ.Provenance = "implied:" + P;
-          break; // Demoters is sorted: the first P is the smallest.
-        }
+      SQ.Provenance = "solver";
+      // Q is demoted when some other inferred qualifier P strictly implies
+      // it (or implies it mutually and wins the lexicographic tie). The
+      // implication is pairwise, but demotions compose: a demoted P still
+      // derives Q at check time through the clause chain, so Q need not be
+      // re-promoted when P is demoted too.
+      for (const std::string &P : Demoters) {
+        if (P == Q || !Oracle.implies(P, Q))
+          continue;
+        // A mutual implication inside the fresh set is an equivalence
+        // class: keep the lexicographically smallest member. A declared
+        // demoter always wins — it stays on the type regardless.
+        if (!Declared.count(P) && Oracle.implies(Q, P) && P >= Q)
+          continue;
+        SQ.Implied = true;
+        SQ.Provenance = "implied:" + P;
+        break; // Demoters is sorted: the first P is the smallest.
       }
       S.Quals.push_back(std::move(SQ));
     }
@@ -353,6 +324,112 @@ void buildSuggestions(const Program &Prog, const QualifierSet &Quals,
       ++(Q.Implied ? Report.Stats.Implied : Report.Stats.Suggested);
 }
 
+//===----------------------------------------------------------------------===//
+// Round-based parallel worklist solve
+//===----------------------------------------------------------------------===//
+
+/// Solves the constraints \p Edges over the seeded candidate atoms in
+/// \p Assumed; on return \p Assumed holds the greatest fixpoint. Each
+/// round's worklist is cut into contiguous chunks, and each chunk
+/// evaluates through its own QualChecker (own memo) against the round's
+/// frozen assumptions, so the drop set, the round count, and the
+/// evaluation count are the same at every \p Options.Jobs value.
+void solveConstraints(Program &Prog, const QualifierSet &Quals,
+                      const ConstraintInferenceOptions &Options,
+                      const std::vector<FlowEdge> &Edges, Assumptions &Assumed,
+                      InferenceStats &Stats) {
+  for (const auto &[Var, Set] : Assumed)
+    Stats.Atoms += static_cast<unsigned>(Set.size());
+  Stats.Constraints = static_cast<unsigned>(Edges.size());
+  unsigned Jobs = std::max(1u, Options.Jobs);
+
+  // Variable -> indices of constraints whose right-hand side reads it.
+  std::map<const VarDecl *, std::vector<unsigned>> Dependents;
+  for (unsigned Id = 0; Id < Edges.size(); ++Id) {
+    std::vector<const VarDecl *> Reads;
+    collectReadVars(Edges[Id].RHS, Reads);
+    std::sort(Reads.begin(), Reads.end());
+    Reads.erase(std::unique(Reads.begin(), Reads.end()), Reads.end());
+    for (const VarDecl *V : Reads)
+      Dependents[V].push_back(Id);
+  }
+
+  // Every constraint starts queued.
+  std::vector<unsigned> Worklist(Edges.size());
+  for (unsigned I = 0; I < Worklist.size(); ++I)
+    Worklist[I] = I;
+  std::vector<char> Queued(Edges.size(), 1);
+
+  CheckerOptions CO = Options.Checker;
+  CO.AssumedVarQuals = &Assumed;
+  auto Start = std::chrono::steady_clock::now();
+  while (!Worklist.empty()) {
+    ++Stats.SolveRounds;
+
+    // Each chunk has a preassigned result slot, so the merged drop list is
+    // chunk-order deterministic (and the drop *set* is Jobs-independent:
+    // assumptions are frozen for the round).
+    size_t Chunks =
+        Jobs <= 1 ? 1
+                  : std::min(Worklist.size(), static_cast<size_t>(Jobs) * 4);
+    size_t PerChunk = (Worklist.size() + Chunks - 1) / Chunks;
+    std::vector<std::vector<std::pair<const VarDecl *, std::string>>> Drops(
+        Chunks);
+    std::vector<uint64_t> Evals(Chunks, 0);
+
+    parallelFor(
+        Jobs, Chunks,
+        [&](size_t C) {
+          DiagnosticEngine Scratch;
+          QualChecker Checker(Prog, Quals, Scratch, CO);
+          size_t Begin = C * PerChunk;
+          size_t End = std::min(Begin + PerChunk, Worklist.size());
+          for (size_t I = Begin; I < End; ++I) {
+            const FlowEdge &E = Edges[Worklist[I]];
+            auto Found = Assumed.find(E.Target);
+            if (Found == Assumed.end() || Found->second.empty())
+              continue;
+            for (const std::string &Q : Found->second) {
+              ++Evals[C];
+              if (!Checker.hasQualifier(E.RHS, Q))
+                Drops[C].push_back({E.Target, Q});
+            }
+          }
+        },
+        nullptr, Options.Pool);
+
+    for (uint64_t N : Evals)
+      Stats.Evaluations += N;
+
+    // Barrier: apply the round's drops and queue dependents.
+    std::fill(Queued.begin(), Queued.end(), 0);
+    bool AnyDropped = false;
+    for (const auto &Chunk : Drops) {
+      for (const auto &[Var, Q] : Chunk) {
+        auto Found = Assumed.find(Var);
+        if (Found == Assumed.end() || !Found->second.erase(Q))
+          continue; // Another constraint already dropped it this round.
+        ++Stats.Dropped;
+        AnyDropped = true;
+        auto Deps = Dependents.find(Var);
+        if (Deps == Dependents.end())
+          continue;
+        for (unsigned Id : Deps->second)
+          Queued[Id] = 1;
+      }
+    }
+    if (!AnyDropped)
+      break;
+    Worklist.clear();
+    for (unsigned I = 0; I < Queued.size(); ++I)
+      if (Queued[I])
+        Worklist.push_back(I);
+  }
+  Stats.SolveSeconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - Start)
+                           .count();
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -363,7 +440,6 @@ InferenceReport stq::checker::inferWithConstraints(
     Program &Prog, const QualifierSet &Quals,
     const ConstraintInferenceOptions &Options) {
   InferenceReport Report;
-  Report.Engine = InferenceEngine::Constraints;
 
   // Constraint generation, fanned out per unit and merged in unit order —
   // the exact edge order the sequential reference collector produces.
@@ -377,10 +453,11 @@ InferenceReport stq::checker::inferWithConstraints(
       },
       nullptr, Options.Pool);
 
-  ConstraintGraph Graph;
+  std::vector<FlowEdge> Edges;
   std::set<const VarDecl *> HasFlow;
   std::set<const VarDecl *> AddrTaken;
   for (const UnitFlows &Unit : PerUnit) {
+    Edges.insert(Edges.end(), Unit.Edges.begin(), Unit.Edges.end());
     for (const FlowEdge &E : Unit.Edges)
       HasFlow.insert(E.Target);
     AddrTaken.insert(Unit.AddrTaken.begin(), Unit.AddrTaken.end());
@@ -390,6 +467,7 @@ InferenceReport stq::checker::inferWithConstraints(
   // something flows into (identical to the reference engine's seeding).
   // Address-taken variables are excluded: qualifiers are invariant below
   // pointers, so a fresh annotation would retype every `&v` use.
+  Assumptions Assumed;
   for (const UnitFlows &Unit : PerUnit) {
     for (const VarDecl *Var : Unit.Vars) {
       if (!HasFlow.count(Var) || AddrTaken.count(Var))
@@ -400,66 +478,14 @@ InferenceReport stq::checker::inferWithConstraints(
         if (Q.IsRef || !Q.Invariant)
           continue; // Flow qualifiers are not useful to infer.
         if (Q.SubjectTy.matches(Var->DeclaredTy))
-          Graph.addCandidate(Var, Q.Name);
+          Assumed[Var].insert(Q.Name);
       }
     }
   }
-  for (const UnitFlows &Unit : PerUnit)
-    for (const FlowEdge &E : Unit.Edges)
-      Graph.addConstraint(E.Target, E.RHS);
 
-  // Each worker chunk evaluates through its own QualChecker (own memo),
-  // all reading the round's frozen assumption snapshot.
-  CheckerOptions BaseCO = Options.Checker;
-  ConstraintGraph::EvaluatorFactory Factory =
-      [&Prog, &Quals, BaseCO](const ConstraintGraph::Assumptions &Assumed)
-      -> ConstraintGraph::Evaluator {
-    auto Diags = std::make_shared<DiagnosticEngine>();
-    CheckerOptions CO = BaseCO;
-    CO.AssumedVarQuals = &Assumed;
-    auto Checker = std::make_shared<QualChecker>(Prog, Quals, *Diags, CO);
-    return [Diags, Checker](const ConstraintGraph::Constraint &C,
-                            const std::string &Q) {
-      return Checker->hasQualifier(C.RHS, Q);
-    };
-  };
+  solveConstraints(Prog, Quals, Options, Edges, Assumed, Report.Stats);
 
-  auto SolveStart = std::chrono::steady_clock::now();
-  ConstraintGraphStats SolveStats =
-      Graph.solve(Factory, Options.Jobs, Options.Pool);
-  Report.Stats.SolveSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    SolveStart)
-          .count();
-  Report.Stats.Atoms = SolveStats.Atoms;
-  Report.Stats.Constraints = SolveStats.Constraints;
-  Report.Stats.SolveRounds = SolveStats.SolveRounds;
-  Report.Stats.Evaluations = SolveStats.Evaluations;
-  Report.Stats.Dropped = SolveStats.Dropped;
-
-  buildSuggestions(Prog, Quals, Options, Graph.assumptions(),
-                   /*Minimize=*/true, "solver", Report);
-  return Report;
-}
-
-//===----------------------------------------------------------------------===//
-// The reference engine, adapted into the report shape
-//===----------------------------------------------------------------------===//
-
-InferenceReport stq::checker::fixpointReport(
-    Program &Prog, const QualifierSet &Quals,
-    const ConstraintInferenceOptions &Options) {
-  InferenceReport Report;
-  Report.Engine = InferenceEngine::Fixpoint;
-  Report.Stats.Units = flowUnitCount(Prog);
-
-  InferenceOptions Ref;
-  Ref.LocalsOnly = Options.Scope == InferenceScope::LocalsOnly;
-  InferenceOutcome Outcome = inferQualifiers(Prog, Quals, Ref);
-  Report.Stats.SolveRounds = Outcome.Iterations;
-
-  buildSuggestions(Prog, Quals, Options, Outcome.Inferred,
-                   /*Minimize=*/false, "fixpoint", Report);
+  buildSuggestions(Prog, Quals, Options, Assumed, Report);
   return Report;
 }
 
@@ -503,120 +529,4 @@ unsigned stq::checker::stripInferableQualifiers(Program &Prog,
   }
   Prog.Ctx.resetComputedTypes();
   return Stripped;
-}
-
-//===----------------------------------------------------------------------===//
-// Two-point taint lattice (differential vs src/cqual)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-bool anyLevelHasQual(TypePtr Ty, const std::string &Q) {
-  while (Ty) {
-    if (Ty->hasQual(Q))
-      return true;
-    TypePtr Bare = Type::withoutQuals(Ty);
-    if (!Bare->isPointer())
-      return false;
-    Ty = Bare->pointee();
-  }
-  return false;
-}
-
-struct TaintState {
-  const std::string &Top;
-  const std::string &Bottom;
-  std::set<const VarDecl *> TaintedVars;
-  std::set<const FuncDecl *> TaintedReturns;
-
-  bool exprTainted(const Expr *E) const {
-    if (!E)
-      return false;
-    switch (E->getKind()) {
-    case Expr::Kind::IntConst:
-    case Expr::Kind::StrConst:
-    case Expr::Kind::NullConst:
-    case Expr::Kind::SizeofType:
-      return false; // Constants carry no taint (matching src/cqual).
-    case Expr::Kind::LValRead: {
-      const LValue *LV = cast<LValReadExpr>(E)->LV;
-      return LV->isVar() ? TaintedVars.count(LV->Var) != 0
-                         : exprTainted(LV->Addr);
-    }
-    case Expr::Kind::AddrOf: {
-      const LValue *LV = cast<AddrOfExpr>(E)->LV;
-      return LV->isVar() ? TaintedVars.count(LV->Var) != 0
-                         : exprTainted(LV->Addr);
-    }
-    case Expr::Kind::Unary:
-      return exprTainted(cast<UnaryExpr>(E)->Sub);
-    case Expr::Kind::Binary:
-      return exprTainted(cast<BinaryExpr>(E)->LHS) ||
-             exprTainted(cast<BinaryExpr>(E)->RHS);
-    case Expr::Kind::Cast: {
-      const auto *C = cast<CastExpr>(E);
-      // An annotated cast is an assertion/assumption boundary, as in
-      // src/cqual: the annotation is trusted downstream.
-      if (anyLevelHasQual(C->Target, Top))
-        return true;
-      if (anyLevelHasQual(C->Target, Bottom))
-        return false;
-      return exprTainted(C->Sub);
-    }
-    case Expr::Kind::Call: {
-      const auto *Call = cast<CallExpr>(E);
-      if (Call->Callee)
-        return TaintedReturns.count(Call->Callee) != 0;
-      return E->Ty && anyLevelHasQual(E->Ty, Top);
-    }
-    }
-    return false;
-  }
-};
-
-} // namespace
-
-std::vector<TaintFinding> stq::checker::checkTaintFlows(
-    const Program &Prog, const std::string &Top, const std::string &Bottom) {
-  UnitFlows Flows = collectAllFlows(Prog);
-  TaintState State{Top, Bottom, {}, {}};
-
-  // Sources: Top-annotated declarations and return types.
-  for (const VarDecl *Var : Flows.Vars)
-    if (anyLevelHasQual(Var->DeclaredTy, Top))
-      State.TaintedVars.insert(Var);
-  for (const FuncDecl *Fn : Prog.Functions)
-    if (anyLevelHasQual(Fn->RetTy, Top))
-      State.TaintedReturns.insert(Fn);
-
-  // Propagate to a fixpoint over assignment/call/return flows.
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (const FlowEdge &E : Flows.Edges)
-      if (!State.TaintedVars.count(E.Target) && State.exprTainted(E.RHS)) {
-        State.TaintedVars.insert(E.Target);
-        Changed = true;
-      }
-    for (const ReturnFlow &R : Flows.Returns)
-      if (!State.TaintedReturns.count(R.Fn) && State.exprTainted(R.Value)) {
-        State.TaintedReturns.insert(R.Fn);
-        Changed = true;
-      }
-  }
-
-  // Violations: taint reaching a Bottom-annotated position.
-  std::vector<TaintFinding> Findings;
-  for (const FlowEdge &E : Flows.Edges)
-    if (anyLevelHasQual(E.Target->DeclaredTy, Bottom) &&
-        State.exprTainted(E.RHS))
-      Findings.push_back({E.RHS->Loc, Top + " data flows into " + Bottom +
-                                          "-annotated '" + E.Target->Name +
-                                          "'"});
-  for (const ReturnFlow &R : Flows.Returns)
-    if (anyLevelHasQual(R.Fn->RetTy, Bottom) && State.exprTainted(R.Value))
-      Findings.push_back({R.Value->Loc, Top + " data flows into " + Bottom +
-                                            "-annotated return of '" +
-                                            R.Fn->Name + "'"});
-  return Findings;
 }

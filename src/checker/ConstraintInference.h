@@ -6,19 +6,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Constraint-based whole-program qualifier inference, the scaled-up
-/// successor of the sequential greatest-fixpoint engine in Inference.h
-/// (retained as the differential reference). CQUAL-style in structure
-/// (Foster et al., PLDI 1999; reimplemented for two-point lattices in
-/// src/cqual): per-unit constraint generation fans out on the ThreadPool,
-/// a qualifier-variable graph is solved by round-based worklist
-/// propagation, and the resulting annotation set is *minimized* by
+/// Constraint-based whole-program qualifier inference: the one engine
+/// behind `stqc infer` and the stq-rpc-v1 `infer` command. The sequential
+/// greatest-fixpoint engine in Inference.h is kept only as the reference
+/// oracle the tests and the fuzzer compare against. CQUAL-style in
+/// structure (Foster et al., PLDI 1999; reimplemented for two-point
+/// lattices in src/cqual): per-unit constraint generation fans out on the
+/// ThreadPool, a qualifier-variable graph is solved by round-based
+/// worklist propagation, and the resulting annotation set is *minimized* by
 /// prover-discharged implication: when suggested qualifier P provably
 /// implies qualifier Q — Q's invariant follows from P's, and Q carries a
 /// derivation clause `E1, where P(E1)`-style so the checker re-derives Q
 /// at every use site — Q is demoted from the suggestion to its provenance
 /// trail. Implication queries run on the incremental prover engine and
 /// memoize through the shared ProverCache.
+///
+/// The solve is a Jacobi-style greatest-fixpoint iteration: each round
+/// evaluates every queued constraint against a *frozen* snapshot of the
+/// current assumptions, applies the resulting qualifier drops between
+/// rounds, and re-queues only constraints depending on a dropped variable.
+/// Because rounds are barriers over frozen state, the drop set per round —
+/// and therefore the final fixpoint, the round count, and the evaluation
+/// count — is identical at every `--jobs` value. (The reference engine is
+/// Gauss-Seidel over the same edges; both converge to the same greatest
+/// fixpoint since the drop operator is monotone.)
 ///
 /// Suggestions are keyed and ordered by (unit, function, variable name,
 /// source location), never by AST pointer, so reports are byte-stable
@@ -36,20 +47,15 @@
 #define STQ_CHECKER_CONSTRAINTINFERENCE_H
 
 #include "checker/Checker.h"
-#include "checker/ConstraintGraph.h"
 #include "prover/Prover.h"
 #include "prover/ProverCache.h"
 #include "support/SourceLoc.h"
+#include "support/ThreadPool.h"
 
 #include <string>
 #include <vector>
 
 namespace stq::checker {
-
-enum class InferenceEngine {
-  Fixpoint,    ///< The sequential reference engine (Inference.h).
-  Constraints, ///< The sharded constraint-graph engine (this file).
-};
 
 enum class InferenceScope {
   Program,    ///< Infer for globals, parameters, and locals.
@@ -58,9 +64,7 @@ enum class InferenceScope {
 
 /// Stable lowercase names, used by the CLI/RPC option surface and the
 /// stq-inference-v1 schema.
-const char *engineName(InferenceEngine E);
 const char *scopeName(InferenceScope S);
-bool parseEngineName(const std::string &Name, InferenceEngine &Out);
 bool parseScopeName(const std::string &Name, InferenceScope &Out);
 
 struct ConstraintInferenceOptions {
@@ -69,9 +73,8 @@ struct ConstraintInferenceOptions {
   unsigned Jobs = 1;
   /// Shared long-lived pool (the stqd daemon's); null spawns per-solve.
   ThreadPool *Pool = nullptr;
-  /// Prover-discharged suggestion minimization (on by default; the full
-  /// inferred set is always retained in the report's provenance).
-  bool ProverRefinement = true;
+  /// Prover options for suggestion minimization (the full inferred set is
+  /// always retained in the report's provenance).
   prover::ProverOptions Prover;
   /// Shared prover cache for implication queries; may be null.
   prover::ProverCache *Cache = nullptr;
@@ -88,8 +91,7 @@ struct ConstraintInferenceOptions {
 struct SuggestedQual {
   std::string Qual;
   /// "solver" for minimal-set members, "implied:<P>" for qualifiers
-  /// demoted by a prover-discharged implication from suggested P, and
-  /// "fixpoint" for the reference engine's report.
+  /// demoted by a prover-discharged implication from suggested P.
   std::string Provenance;
   bool Implied = false;
 };
@@ -118,7 +120,7 @@ struct InferenceStats {
   unsigned Units = 0;       ///< Constraint-generation units.
   unsigned Atoms = 0;       ///< Seeded candidate atoms.
   unsigned Constraints = 0; ///< Flow constraints.
-  unsigned SolveRounds = 0; ///< Worklist rounds (fixpoint: iterations).
+  unsigned SolveRounds = 0; ///< Jacobi rounds until the worklist drained.
   uint64_t Evaluations = 0; ///< (constraint, qualifier) evaluations.
   unsigned Dropped = 0;     ///< Atoms refuted by the solve.
   unsigned Variables = 0;   ///< Variables with at least one inferred qual.
@@ -130,16 +132,15 @@ struct InferenceStats {
 };
 
 /// The first-class inference result: deterministic suggestions plus solver
-/// statistics, shared by both engines.
+/// statistics.
 struct InferenceReport {
-  InferenceEngine Engine = InferenceEngine::Constraints;
   std::vector<InferenceSuggestion> Suggestions;
   InferenceStats Stats;
 
   /// Minimal-set (variable, qualifier) pairs in the report.
   unsigned totalSuggested() const;
   /// All inferred pairs (minimal plus demoted) — the full greatest
-  /// fixpoint, which the fixpoint-containment oracle compares against.
+  /// fixpoint, which the reference oracle compares against.
   unsigned totalInferred() const;
 };
 
@@ -148,13 +149,6 @@ struct InferenceReport {
 InferenceReport inferWithConstraints(cminus::Program &Prog,
                                      const qual::QualifierSet &Quals,
                                      const ConstraintInferenceOptions &Options);
-
-/// Runs the sequential reference engine (Inference.h) and adapts its
-/// outcome into the same deterministic report shape (no minimization;
-/// every qualifier's provenance is "fixpoint").
-InferenceReport fixpointReport(cminus::Program &Prog,
-                               const qual::QualifierSet &Quals,
-                               const ConstraintInferenceOptions &Options);
 
 /// Applies every suggestion's minimal set to the declared types and resets
 /// computed types; callers re-run Sema (or re-parse the printed source).
@@ -165,22 +159,6 @@ void applyReport(cminus::Program &Prog, const InferenceReport &Report);
 /// step. Returns the number of (variable, qualifier) pairs removed.
 unsigned stripInferableQualifiers(cminus::Program &Prog,
                                   const qual::QualifierSet &Quals);
-
-/// A Top-annotated value reaching a Bottom-annotated position.
-struct TaintFinding {
-  SourceLoc Loc;
-  std::string Description;
-};
-
-/// Two-point-lattice taint propagation over the engine's own flow edges
-/// (assignments, initializers, call arguments, returns): sources are
-/// \p Top-annotated declarations, sinks are \p Bottom-annotated ones.
-/// The differential tests hold its clean/not-clean verdict to
-/// cqual::runInference on the taint examples.
-std::vector<TaintFinding> checkTaintFlows(const cminus::Program &Prog,
-                                          const std::string &Top = "tainted",
-                                          const std::string &Bottom =
-                                              "untainted");
 
 } // namespace stq::checker
 

@@ -46,12 +46,12 @@ InferenceOutcome stq::checker::inferQualifiers(Program &Prog,
   // Greatest fixpoint: drop a qualifier whenever some flow into the
   // variable cannot be given it under the current assumptions.
   DiagnosticEngine Scratch;
-  for (unsigned Iter = 0; Iter < Options.MaxIterations; ++Iter) {
+  for (bool Changed = true; Changed;) {
     ++Out.Iterations;
     CheckerOptions CO;
     CO.AssumedVarQuals = &Assumed;
     QualChecker Checker(Prog, Quals, Scratch, CO);
-    bool Changed = false;
+    Changed = false;
     for (const FlowEdge &E : Flows.Edges) {
       auto Found = Assumed.find(E.Target);
       if (Found == Assumed.end() || Found->second.empty())
@@ -65,8 +65,6 @@ InferenceOutcome stq::checker::inferQualifiers(Program &Prog,
         Changed = true;
       }
     }
-    if (!Changed)
-      break;
   }
 
   // Report only qualifiers not already declared.
@@ -79,15 +77,4 @@ InferenceOutcome stq::checker::inferQualifiers(Program &Prog,
       Out.Inferred.emplace(Var, std::move(Fresh));
   }
   return Out;
-}
-
-void stq::checker::applyInference(Program &Prog,
-                                  const InferenceOutcome &Outcome) {
-  for (const auto &[Var, Quals] : Outcome.Inferred) {
-    TypePtr Ty = Var->DeclaredTy;
-    for (const std::string &Q : Quals)
-      Ty = cminus::Type::withQual(Ty, Q);
-    const_cast<VarDecl *>(Var)->DeclaredTy = Ty;
-  }
-  Prog.Ctx.resetComputedTypes();
 }

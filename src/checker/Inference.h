@@ -1,4 +1,4 @@
-//===- Inference.h - Value-qualifier inference ------------------*- C++ -*-===//
+//===- Inference.h - Reference value-qualifier inference --------*- C++ -*-===//
 //
 // Part of the stq project: a reproduction of "Semantic Type Qualifiers"
 // (Chin, Markstrum, Millstein; PLDI 2005).
@@ -6,8 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Qualifier inference, the paper's section 8 future-work item "support
-/// for qualifier inference to decrease the annotation burden."
+/// The sequential reference for qualifier inference, the paper's section 8
+/// future-work item "support for qualifier inference to decrease the
+/// annotation burden." Users reach inference through the constraint engine
+/// (ConstraintInference.h); this engine is the oracle the tests and
+/// `stq-fuzz --oracle inference` hold that engine's full inferred set to.
 ///
 /// The engine computes, for every variable, the largest set of value
 /// qualifiers consistent with every assignment to it (a greatest-fixpoint
@@ -38,8 +41,6 @@ struct InferenceOptions {
   /// Only infer for locals and parameters (globals are API surface and
   /// usually deserve explicit annotations).
   bool LocalsOnly = false;
-  /// Iteration safety bound.
-  unsigned MaxIterations = 64;
 };
 
 struct InferenceOutcome {
@@ -56,15 +57,12 @@ struct InferenceOutcome {
 };
 
 /// Infers value-qualifier annotations for \p Prog (which must be
-/// Sema-checked and lowered). Does not mutate the program; callers may
-/// apply `Inferred` to declared types themselves.
+/// Sema-checked and lowered). Sweeps until one drops nothing; every
+/// productive sweep removes at least one atom from a finite set, so this
+/// always terminates. Does not mutate the program.
 InferenceOutcome inferQualifiers(cminus::Program &Prog,
                                  const qual::QualifierSet &Quals,
                                  InferenceOptions Options = {});
-
-/// Applies an inference outcome to the program's declared types and
-/// resets computed types (callers re-run Sema afterwards).
-void applyInference(cminus::Program &Prog, const InferenceOutcome &Outcome);
 
 } // namespace stq::checker
 

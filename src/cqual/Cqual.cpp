@@ -21,9 +21,9 @@ using QVar = unsigned;
 /// (index 0 = the value itself, index 1 = what it points to, ...).
 using QShape = std::vector<QVar>;
 
-class InferenceEngine {
+class CqualEngine {
 public:
-  InferenceEngine(const Program &Prog, const LatticeConfig &Config)
+  CqualEngine(const Program &Prog, const LatticeConfig &Config)
       : Prog(Prog), Config(Config) {}
 
   InferenceResult run();
@@ -88,8 +88,8 @@ private:
   std::map<const FuncDecl *, QShape> ReturnShapes;
 };
 
-QShape InferenceEngine::freshShape(unsigned Levels, SourceLoc Loc,
-                                   const std::string &Desc) {
+QShape CqualEngine::freshShape(unsigned Levels, SourceLoc Loc,
+                               const std::string &Desc) {
   QShape Out;
   for (unsigned I = 0; I <= Levels; ++I) {
     QVar V = freshVar();
@@ -100,8 +100,8 @@ QShape InferenceEngine::freshShape(unsigned Levels, SourceLoc Loc,
   return Out;
 }
 
-QShape InferenceEngine::shapeForType(const TypePtr &Ty, SourceLoc Loc,
-                                     const std::string &Desc) {
+QShape CqualEngine::shapeForType(const TypePtr &Ty, SourceLoc Loc,
+                                 const std::string &Desc) {
   QShape Out;
   TypePtr Cur = Ty;
   while (true) {
@@ -125,7 +125,7 @@ QShape InferenceEngine::shapeForType(const TypePtr &Ty, SourceLoc Loc,
   return Out;
 }
 
-QShape InferenceEngine::shapeForVar(const VarDecl *Var) {
+QShape CqualEngine::shapeForVar(const VarDecl *Var) {
   auto Found = VarShapes.find(Var);
   if (Found != VarShapes.end())
     return Found->second;
@@ -134,8 +134,8 @@ QShape InferenceEngine::shapeForVar(const VarDecl *Var) {
   return S;
 }
 
-QShape InferenceEngine::shapeForField(const StructDef *Def,
-                                      const std::string &Field) {
+QShape CqualEngine::shapeForField(const StructDef *Def,
+                                  const std::string &Field) {
   auto Key = std::make_pair(Def, Field);
   auto Found = FieldShapes.find(Key);
   if (Found != FieldShapes.end())
@@ -147,7 +147,7 @@ QShape InferenceEngine::shapeForField(const StructDef *Def,
   return S;
 }
 
-QShape InferenceEngine::shapeForReturn(const FuncDecl *Fn) {
+QShape CqualEngine::shapeForReturn(const FuncDecl *Fn) {
   auto Found = ReturnShapes.find(Fn);
   if (Found != ReturnShapes.end())
     return Found->second;
@@ -156,8 +156,8 @@ QShape InferenceEngine::shapeForReturn(const FuncDecl *Fn) {
   return S;
 }
 
-void InferenceEngine::constrainShapes(const QShape &Src, const QShape &Dst,
-                                      SourceLoc Loc) {
+void CqualEngine::constrainShapes(const QShape &Src, const QShape &Dst,
+                                  SourceLoc Loc) {
   (void)Loc;
   if (Src.empty() || Dst.empty())
     return;
@@ -168,7 +168,7 @@ void InferenceEngine::constrainShapes(const QShape &Src, const QShape &Dst,
     addEq(Src[I], Dst[I]);
 }
 
-QShape InferenceEngine::shapeOfLValue(const LValue *LV) {
+QShape CqualEngine::shapeOfLValue(const LValue *LV) {
   QShape Base;
   if (LV->isVar()) {
     Base = shapeForVar(LV->Var);
@@ -200,7 +200,7 @@ QShape InferenceEngine::shapeOfLValue(const LValue *LV) {
   return Base;
 }
 
-QShape InferenceEngine::shapeOfCall(const CallExpr *Call) {
+QShape CqualEngine::shapeOfCall(const CallExpr *Call) {
   // Arguments flow into parameters.
   if (Call->Callee) {
     for (size_t I = 0;
@@ -217,7 +217,7 @@ QShape InferenceEngine::shapeOfCall(const CallExpr *Call) {
   return freshShape(Levels, Call->Loc, "call " + Call->CalleeName);
 }
 
-QShape InferenceEngine::shapeOfExpr(const Expr *E) {
+QShape CqualEngine::shapeOfExpr(const Expr *E) {
   switch (E->getKind()) {
   case Expr::Kind::IntConst:
   case Expr::Kind::StrConst:
@@ -298,13 +298,13 @@ QShape InferenceEngine::shapeOfExpr(const Expr *E) {
   return freshShape(0, E->Loc, "expr");
 }
 
-void InferenceEngine::assignInto(const QShape &Dst, const Expr *RHS,
-                                 SourceLoc Loc) {
+void CqualEngine::assignInto(const QShape &Dst, const Expr *RHS,
+                             SourceLoc Loc) {
   QShape Src = shapeOfExpr(RHS);
   constrainShapes(Src, Dst, Loc);
 }
 
-void InferenceEngine::walkStmt(const Stmt *S, const FuncDecl *Fn) {
+void CqualEngine::walkStmt(const Stmt *S, const FuncDecl *Fn) {
   if (!S)
     return;
   switch (S->getKind()) {
@@ -356,7 +356,7 @@ void InferenceEngine::walkStmt(const Stmt *S, const FuncDecl *Fn) {
   }
 }
 
-void InferenceEngine::solve() {
+void CqualEngine::solve() {
   // Propagate taint (lower bounds of Top) forward through the graph; an
   // error is a tainted variable whose upper bound is Bottom.
   std::vector<bool> Tainted = LowerTaint;
@@ -385,7 +385,7 @@ void InferenceEngine::solve() {
   }
 }
 
-InferenceResult InferenceEngine::run() {
+InferenceResult CqualEngine::run() {
   for (const VarDecl *G : Prog.Globals)
     if (G->Init)
       assignInto(shapeForVar(G), G->Init, G->Loc);
@@ -405,6 +405,6 @@ InferenceResult InferenceEngine::run() {
 
 InferenceResult stq::cqual::runInference(const Program &Prog,
                                          const LatticeConfig &Config) {
-  InferenceEngine Engine(Prog, Config);
+  CqualEngine Engine(Prog, Config);
   return Engine.run();
 }

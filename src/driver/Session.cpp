@@ -466,10 +466,7 @@ Session::InferenceReport Session::infer(const std::string &Source) {
     // a truncated application is not guaranteed to re-check clean.
     CI.MaxSuggestions = Opts.Infer.Apply ? 0 : Opts.Infer.MaxSuggestions;
     CI.Checker = Opts.Checker;
-    Out.Report =
-        Opts.Infer.Engine == checker::InferenceEngine::Fixpoint
-            ? checker::fixpointReport(*Out.Program, *QualsView, CI)
-            : checker::inferWithConstraints(*Out.Program, *QualsView, CI);
+    Out.Report = checker::inferWithConstraints(*Out.Program, *QualsView, CI);
     if (Opts.Infer.Apply) {
       checker::applyReport(*Out.Program, Out.Report);
       Out.AnnotatedSource = cminus::printProgram(*Out.Program);

@@ -140,13 +140,10 @@ struct SessionOptions {
   /// diff against that file's previous version, not another client's.
   std::string IncrementalUnit;
 
-  /// infer() configuration: engine selection, inference scope, suggestion
-  /// budget, and apply-mode. Mirrored one-to-one by `stqc infer --engine
-  /// --scope --max-suggestions --apply` and the stq-rpc-v1 infer params.
+  /// infer() configuration: inference scope, suggestion budget, and
+  /// apply-mode. Mirrored one-to-one by `stqc infer --scope
+  /// --max-suggestions --apply` and the stq-rpc-v1 infer params.
   struct InferenceParams {
-    /// The sharded constraint engine by default; the sequential fixpoint
-    /// engine is retained as the differential reference.
-    checker::InferenceEngine Engine = checker::InferenceEngine::Constraints;
     checker::InferenceScope Scope = checker::InferenceScope::Program;
     /// Report at most this many suggestion entries (0 = unlimited).
     /// Ignored in apply-mode: applying a partial suggestion set is not
@@ -271,8 +268,7 @@ public:
 
   /// Result of infer(): the first-class inference report (suggestions
   /// keyed by (unit, function, variable, location), per-qualifier
-  /// provenance, solver stats) behind the engine configured in
-  /// SessionOptions::Infer.
+  /// provenance, solver stats) under SessionOptions::Infer.
   struct InferenceReport {
     bool FrontEndOk = false;
     checker::InferenceReport Report;
@@ -284,8 +280,7 @@ public:
     std::unique_ptr<cminus::Program> Program;
   };
   /// Front end + whole-program qualifier inference (section 8 future
-  /// work): the sharded constraint engine by default, the sequential
-  /// fixpoint reference via SessionOptions::Infer.Engine. Prover-backed
+  /// work) through the sharded constraint engine. Prover-backed
   /// suggestion minimization memoizes into proverCache().
   InferenceReport infer(const std::string &Source);
 

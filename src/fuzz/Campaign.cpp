@@ -4,6 +4,7 @@
 
 #include "checker/ConstraintInference.h"
 #include "checker/Incremental.h"
+#include "checker/Inference.h"
 #include "cminus/Printer.h"
 #include "fuzz/EditGen.h"
 #include "fuzz/Mutator.h"
@@ -19,9 +20,11 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 using namespace stq;
 using namespace stq::fuzz;
@@ -714,8 +717,8 @@ server::ExecResult inferInvocation(const std::string &Source, unsigned Jobs,
 /// The inference oracle: strip every inferable annotation, re-infer with
 /// the constraint engine, apply, and hold the result to three laws —
 /// applying inferred annotations never adds errors (and keeps a clean
-/// program clean, the greatest-fixpoint guarantee), the fixpoint reference
-/// engine's inferred set is contained in the constraint engine's full set,
+/// program clean, the greatest-fixpoint guarantee), the constraint engine's
+/// full set equals what the sequential fixpoint reference infers,
 /// and the suggestion report is byte-identical across job counts.
 void inferenceScenario(Rng &R, uint64_t RunSeed, OracleContext &C) {
   std::string Source = generateProgram(R);
@@ -779,9 +782,8 @@ void inferenceScenario(Rng &R, uint64_t RunSeed, OracleContext &C) {
     return;
   }
 
-  // Containment: every (var, qualifier) the reference fixpoint engine
-  // infers appears in the constraint engine's full set (minimal plus
-  // demoted), keyed without AST pointers.
+  // Reference equality: the constraint engine's full set (minimal plus
+  // demoted) is exactly what the sequential reference infers.
   Session Infer(SO);
   Session::FrontEndOutcome FE2 = Infer.frontEnd(Stripped);
   if (!FE2.Ok || Infer.diags().hasErrors())
@@ -790,30 +792,46 @@ void inferenceScenario(Rng &R, uint64_t RunSeed, OracleContext &C) {
   IO.Cache = C.Cache;
   checker::InferenceReport Cons =
       checker::inferWithConstraints(*FE2.Program, Infer.qualifiers(), IO);
-  checker::InferenceReport Fix =
-      checker::fixpointReport(*FE2.Program, Infer.qualifiers(), IO);
-  auto pairKey = [](const checker::InferenceSuggestion &S,
-                    const checker::SuggestedQual &Q) {
-    return std::to_string(S.Unit) + ":" + S.Function + ":" + S.Var + ":" +
-           S.Loc.str() + ":" + Q.Qual;
-  };
-  std::set<std::string> ConsPairs;
+  checker::InferenceOutcome Ref =
+      checker::inferQualifiers(*FE2.Program, Infer.qualifiers());
+  using QualMap = std::map<const cminus::VarDecl *, std::set<std::string>>;
+  QualMap Full;
   for (const auto &S : Cons.Suggestions)
     for (const auto &Q : S.Quals)
-      ConsPairs.insert(pairKey(S, Q));
-  for (const auto &S : Fix.Suggestions)
-    for (const auto &Q : S.Quals)
-      if (!ConsPairs.count(pairKey(S, Q))) {
-        FuzzFailure F;
-        F.Oracle = "inference";
-        F.Kind = "fixpoint-containment";
-        F.RunSeed = RunSeed;
-        F.Input = Stripped;
-        F.Detail = "fixpoint engine infers " + pairKey(S, Q) +
-                   " but the constraint engine's full set omits it";
-        reportFailure(C, std::move(F));
-        return;
-      }
+      Full[S.Decl].insert(Q.Qual);
+  if (Full == Ref.Inferred)
+    return;
+  // Name the first differing variable in source order (pointer order is
+  // not stable across runs).
+  auto QualsOf = [](const QualMap &M, const cminus::VarDecl *V) {
+    auto It = M.find(V);
+    return It == M.end() ? std::set<std::string>() : It->second;
+  };
+  const cminus::VarDecl *First = nullptr;
+  for (const QualMap *M : {&Full, &Ref.Inferred})
+    for (const auto &[V, Quals] : *M) {
+      if (QualsOf(Full, V) == QualsOf(Ref.Inferred, V))
+        continue;
+      if (!First || std::tie(V->Loc.Line, V->Loc.Col, V->Name) <
+                        std::tie(First->Loc.Line, First->Loc.Col, First->Name))
+        First = V;
+    }
+  auto List = [](const std::set<std::string> &Quals) {
+    std::string Out;
+    for (const std::string &Q : Quals)
+      Out += (Out.empty() ? "" : " ") + Q;
+    return "{" + Out + "}";
+  };
+  FuzzFailure F;
+  F.Oracle = "inference";
+  F.Kind = "fixpoint-mismatch";
+  F.RunSeed = RunSeed;
+  F.Input = Stripped;
+  F.Detail = "'" + First->Name + "' at " + First->Loc.str() +
+             ": constraint engine infers " + List(QualsOf(Full, First)) +
+             ", fixpoint reference infers " +
+             List(QualsOf(Ref.Inferred, First));
+  reportFailure(C, std::move(F));
 }
 
 /// Dedicated VM-differential runs: divergence-capable programs (checker

@@ -28,10 +28,10 @@
 ///  5. Inference: strip every inferable annotation from a generated
 ///     program, re-infer with the constraint engine, and apply — the
 ///     annotated program must not gain qualifier errors (clean stays
-///     clean: the greatest-fixpoint guarantee), the fixpoint reference
-///     engine's inferred set must be contained in the constraint engine's
-///     full set, and the suggestion report must be byte-identical across
-///     job counts.
+///     clean: the greatest-fixpoint guarantee), the constraint engine's
+///     full set must equal the sequential fixpoint reference's inferred
+///     set, and the suggestion report must be byte-identical across job
+///     counts.
 ///  6. Robustness: both front ends diagnose arbitrary malformed input
 ///     (token soup, byte mutations) without crashing; a crash takes the
 ///     process down and is caught by the harness around the campaign.

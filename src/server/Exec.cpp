@@ -196,8 +196,8 @@ json::Value inferenceReportJson(const Session::InferenceReport &O,
                                 const SessionOptions &Opts) {
   json::Value Doc = json::Value::object();
   Doc.set("schema", json::Value::str("stq-inference-v1"));
-  Doc.set("engine",
-          json::Value::str(checker::engineName(O.Report.Engine)));
+  // There is one engine; the member stays so the schema stays v1.
+  Doc.set("engine", json::Value::str("constraints"));
   Doc.set("scope", json::Value::str(checker::scopeName(Opts.Infer.Scope)));
   json::Value Suggestions = json::Value::array();
   for (const checker::InferenceSuggestion &Sug : O.Report.Suggestions) {
@@ -275,10 +275,9 @@ int execInfer(Session &S, const Invocation &Inv, std::ostream &Out,
     }
     const checker::InferenceStats &St = O.Report.Stats;
     Out << "inferred " << O.Report.totalSuggested() << " annotation(s) on "
-        << St.Variables << " variable(s) [engine "
-        << checker::engineName(O.Report.Engine) << ", " << St.Constraints
-        << " constraint(s), " << St.SolveRounds << " round(s), "
-        << St.Implied << " implied";
+        << St.Variables << " variable(s) [engine constraints, "
+        << St.Constraints << " constraint(s), " << St.SolveRounds
+        << " round(s), " << St.Implied << " implied";
     if (St.Truncated)
       Out << ", " << St.Truncated << " over budget";
     Out << "]\n";

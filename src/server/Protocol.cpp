@@ -87,9 +87,6 @@ std::string stq::server::rpc::encodeRequest(const Request &R) {
                                 : "text"));
   if (R.Inv.JsonDiagnostics)
     Opts.set("diagnostics", json::Value::str("json"));
-  if (S.Infer.Engine != checker::InferenceEngine::Constraints)
-    Opts.set("infer_engine",
-             json::Value::str(checker::engineName(S.Infer.Engine)));
   if (S.Infer.Scope != checker::InferenceScope::Program)
     Opts.set("infer_scope",
              json::Value::str(checker::scopeName(S.Infer.Scope)));
@@ -255,13 +252,6 @@ bool stq::server::rpc::parseRequest(const std::string &Line, Request &Out,
         Out.Inv.JsonDiagnostics = true;
       } else if (Val.asString() != "text") {
         Error = "bad diagnostics format '" + Val.asString() + "'";
-        return false;
-      }
-    } else if (Key == "infer_engine") {
-      if (!Val.isString() ||
-          !checker::parseEngineName(Val.asString(), S.Infer.Engine)) {
-        Error = "bad inference engine '" + Val.asString() +
-                "' (expected fixpoint|constraints)";
         return false;
       }
     } else if (Key == "infer_scope") {

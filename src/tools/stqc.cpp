@@ -27,11 +27,10 @@
 //       (--server) the store stays warm across edits
 //   stqc run    (FILE | -e SRC) [--builtins ..] [--entry NAME]
 //       typecheck, instrument casts, and execute
-//   stqc infer  (FILE | -e SRC) [--builtins ..] [--engine E] [--scope S]
+//   stqc infer  (FILE | -e SRC) [--builtins ..] [--scope S]
 //               [--max-suggestions N] [--apply] [--format text|json] [-j N]
-//       infer value-qualifier annotations (section 8 future work): the
-//       sharded constraint engine by default (--engine fixpoint selects
-//       the sequential reference), with prover-minimized suggestions;
+//       infer value-qualifier annotations (section 8 future work) with the
+//       sharded constraint engine and prover-minimized suggestions;
 //       --apply prints the annotated program, --format json emits the
 //       stq-inference-v1 document
 //   stqc dump-builtin NAME
@@ -173,16 +172,6 @@ cli::OptionTable buildOptionTable(CliOptions &Options) {
                 Options.Session.Jobs = N == 0 ? ThreadPool::defaultJobs() : N;
                 return true;
               });
-  Table.value("--engine", "", "NAME",
-              "infer: inference engine (constraints or fixpoint)",
-              [&](const std::string &V, std::string &Error) {
-                if (!checker::parseEngineName(V, Options.Session.Infer.Engine)) {
-                  Error = "bad --engine value '" + V +
-                          "' (expected fixpoint or constraints)";
-                  return false;
-                }
-                return true;
-              });
   Table.value("--scope", "", "NAME",
               "infer: inference scope (program or locals)",
               [&](const std::string &V, std::string &Error) {
@@ -302,7 +291,7 @@ void usage(const cli::OptionTable &Table) {
       "              [--jobs N]\n"
       "  stqc run    (FILE | -e SRC) [--builtins ..] [--entry NAME]\n"
       "  stqc infer  (FILE | -e SRC) [--builtins ..] [--qualfile F]"
-      " [--engine E] [--scope S]\n"
+      " [--scope S]\n"
       "              [--max-suggestions N] [--apply] [--format text|json]"
       " [--jobs N]\n"
       "  stqc dump-builtin NAME\n"

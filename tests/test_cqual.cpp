@@ -166,4 +166,26 @@ TEST(Cqual, AnnotationCountsReported) {
   EXPECT_EQ(R->Result.ExplicitAnnotations, 3u);
 }
 
+TEST(Cqual, IntegerTaintVerdicts) {
+  // Constants carry no taint; taint reaches an untainted local directly
+  // and through an unannotated identity function; untainted-annotated
+  // returns accept clean arguments.
+  struct Case {
+    const char *Source;
+    bool Clean;
+  };
+  const Case Cases[] = {
+      {"int f(int tainted t) { int untainted u = 3; return t + u; }\n", true},
+      {"int f(int tainted t) { int untainted u = t; return u; }\n", false},
+      {"int id(int v) { return v; }\n"
+       "int f(int tainted t) { int untainted u = id(t); return u; }\n",
+       false},
+      {"int untainted sink(int untainted v) { return v; }\n"
+       "int f() { int x = 4; return sink(x); }\n",
+       true},
+  };
+  for (const Case &C : Cases)
+    EXPECT_EQ(infer(C.Source)->Result.clean(), C.Clean) << C.Source;
+}
+
 } // namespace

@@ -13,13 +13,13 @@
 #include "cminus/Parser.h"
 #include "cminus/Printer.h"
 #include "cminus/Sema.h"
-#include "cqual/Cqual.h"
 #include "qual/Builtins.h"
 #include "server/Exec.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 using namespace stq;
@@ -210,7 +210,7 @@ TEST(Inference, ApplyInferenceMakesCheckerAcceptMore) {
   auto S = infer({"nonnull"}, Source);
   EXPECT_TRUE(inferred(*S, "p", "nonnull"));
 
-  applyInference(*S->Prog, S->Outcome);
+  applyReport(*S->Prog, inferWithConstraints(*S->Prog, S->Quals, {}));
   DiagnosticEngine D2;
   ASSERT_TRUE(runSema(*S->Prog, S->Quals.refNames(), D2));
   QualChecker Checker(*S->Prog, S->Quals, D2, {});
@@ -235,7 +235,7 @@ TEST(Inference, InferenceIsValidatedByChecker) {
     QualChecker Checker(*S->Prog, S->Quals, Before, {});
     Checker.run();
   }
-  applyInference(*S->Prog, S->Outcome);
+  applyReport(*S->Prog, inferWithConstraints(*S->Prog, S->Quals, {}));
   DiagnosticEngine After;
   ASSERT_TRUE(runSema(*S->Prog, S->Quals.refNames(), After));
   QualChecker Checker(*S->Prog, S->Quals, After, {});
@@ -277,6 +277,26 @@ std::unique_ptr<Front> frontEnd(const std::vector<std::string> &QualNames,
   return F;
 }
 
+/// A report's full inferred set (minimal plus demoted) by declaration, in
+/// the shape of the reference engine's InferenceOutcome::Inferred.
+std::map<const VarDecl *, std::set<std::string>>
+fullSet(const InferenceReport &R) {
+  std::map<const VarDecl *, std::set<std::string>> Full;
+  for (const InferenceSuggestion &S : R.Suggestions)
+    for (const SuggestedQual &Q : S.Quals)
+      Full[S.Decl].insert(Q.Qual);
+  return Full;
+}
+
+/// Re-runs Sema and the checker over \p F's program (after applyReport)
+/// and returns the qualifier error count.
+unsigned recheckErrors(Front &F) {
+  DiagnosticEngine D;
+  EXPECT_TRUE(runSema(*F.Prog, F.Quals.refNames(), D));
+  QualChecker Checker(*F.Prog, F.Quals, D, {});
+  return Checker.run().QualErrors;
+}
+
 /// Every (unit, function, var, loc, qualifier) pair in a report — the full
 /// inferred set when \p MinimalOnly is false, the suggestion set otherwise.
 std::set<std::string> pairKeys(const InferenceReport &R,
@@ -314,10 +334,10 @@ TEST(ConstraintInference, FullSetMatchesFixpointReference) {
                        "  return z;\n"
                        "}\n";
   auto F = frontEnd({"pos", "neg", "nonneg", "nonzero"}, Source);
-  ConstraintInferenceOptions Options;
-  InferenceReport Cons = inferWithConstraints(*F->Prog, F->Quals, Options);
-  InferenceReport Fix = fixpointReport(*F->Prog, F->Quals, Options);
-  EXPECT_EQ(pairKeys(Cons), pairKeys(Fix));
+  InferenceReport Cons =
+      inferWithConstraints(*F->Prog, F->Quals, ConstraintInferenceOptions{});
+  InferenceOutcome Fix = inferQualifiers(*F->Prog, F->Quals);
+  EXPECT_EQ(fullSet(Cons), Fix.Inferred);
   EXPECT_GT(Cons.totalInferred(), 0u);
   EXPECT_EQ(Cons.totalInferred(), Fix.totalInferred());
 }
@@ -328,9 +348,30 @@ TEST(ConstraintInference, FullSetMatchesFixpointOnWorkloadFarm) {
   ConstraintInferenceOptions Options;
   Options.Jobs = 4;
   InferenceReport Cons = inferWithConstraints(*F->Prog, F->Quals, Options);
-  InferenceReport Fix = fixpointReport(*F->Prog, F->Quals, Options);
-  EXPECT_EQ(pairKeys(Cons), pairKeys(Fix));
+  EXPECT_EQ(fullSet(Cons), inferQualifiers(*F->Prog, F->Quals).Inferred);
   EXPECT_GT(Cons.Stats.Constraints, 0u);
+}
+
+TEST(ConstraintInference, ReverseChainReachesTheFixpoint) {
+  // x1 = x2; ... x69 = x70; x70 = -1; lets a forward sweep drop only one
+  // variable's pos/nonneg at a time, so the fixpoint is 70 sweeps (and 70
+  // Jacobi rounds) away — past any small sweep cap.
+  std::string Source = "int f() {\n";
+  for (int I = 1; I <= 70; ++I)
+    Source += "  int x" + std::to_string(I) + " = 1;\n";
+  for (int I = 1; I < 70; ++I)
+    Source += "  x" + std::to_string(I) + " = x" + std::to_string(I + 1) +
+              ";\n";
+  Source += "  x70 = -1;\n  return x1;\n}\n";
+  auto F = frontEnd({"pos", "neg", "nonneg", "nonzero"}, Source);
+  InferenceReport R =
+      inferWithConstraints(*F->Prog, F->Quals, ConstraintInferenceOptions{});
+  InferenceOutcome Fix = inferQualifiers(*F->Prog, F->Quals);
+  EXPECT_EQ(fullSet(R), Fix.Inferred);
+  EXPECT_EQ(R.Stats.SolveRounds, 70u);
+  EXPECT_EQ(R.totalSuggested(), 70u); // nonzero on every xN
+  applyReport(*F->Prog, R);
+  EXPECT_EQ(recheckErrors(*F), 0u);
 }
 
 TEST(ConstraintInference, MinimizationDemotesProverImpliedQualifiers) {
@@ -357,13 +398,13 @@ TEST(ConstraintInference, MinimizationDemotesProverImpliedQualifiers) {
   EXPECT_EQ(R.Stats.Implied, 2u);
   EXPECT_GT(R.Stats.ProverQueries, 0u);
 
-  // With refinement off, all three are plain suggestions.
-  ConstraintInferenceOptions NoRefine;
-  NoRefine.ProverRefinement = false;
-  InferenceReport Full = inferWithConstraints(*F->Prog, F->Quals, NoRefine);
-  EXPECT_EQ(Full.Stats.Suggested, 3u);
-  EXPECT_EQ(Full.Stats.Implied, 0u);
-  EXPECT_EQ(pairKeys(R), pairKeys(Full)); // same full set either way
+  // Demotion only re-labels: the full set keeps all three pairs.
+  EXPECT_EQ(R.totalInferred(), 3u);
+  std::set<std::string> Full = pairKeys(R);
+  EXPECT_EQ(Full.size(), 3u);
+  EXPECT_EQ(pairKeys(R, /*MinimalOnly=*/true).size(), 1u);
+  for (const char *Q : {"nonneg", "nonzero", "pos"})
+    EXPECT_EQ(Full.count("1:f:x:" + S->Loc.str() + ":" + Q), 1u) << Q;
 }
 
 TEST(ConstraintInference, AddressTakenVariablesAreNotSuggested) {
@@ -492,37 +533,6 @@ TEST(ConstraintInference, ApplyRecheckesCleanAndByteStableAcrossJobs) {
     // program has nothing new to suggest.
     server::ExecResult Again = runInfer(Applied.Out, 1, /*Apply=*/true);
     EXPECT_EQ(Again.Out, Applied.Out) << Source;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Two-point taint lattice: agreement with the CQUAL baseline
-//===----------------------------------------------------------------------===//
-
-TEST(TaintFlows, VerdictAgreesWithCqualBaseline) {
-  struct Case {
-    const char *Source;
-    bool Clean;
-  };
-  const Case Cases[] = {
-      {"int f(int tainted t) { int untainted u = 3; return t + u; }\n", true},
-      {"int f(int tainted t) { int untainted u = t; return u; }\n", false},
-      {"int id(int v) { return v; }\n"
-       "int f(int tainted t) { int untainted u = id(t); return u; }\n",
-       false},
-      {"int untainted sink(int untainted v) { return v; }\n"
-       "int f() { int x = 4; return sink(x); }\n",
-       true},
-  };
-  for (const Case &C : Cases) {
-    auto F = frontEnd({"tainted", "untainted"}, C.Source);
-    std::vector<TaintFinding> Ours = checkTaintFlows(*F->Prog);
-    cqual::InferenceResult Base = cqual::runInference(*F->Prog);
-    EXPECT_EQ(Ours.empty(), C.Clean) << C.Source;
-    EXPECT_EQ(Base.clean(), C.Clean) << C.Source;
-    EXPECT_EQ(Ours.empty(), Base.clean())
-        << "engines disagree on:\n"
-        << C.Source;
   }
 }
 

@@ -194,7 +194,6 @@ TEST(Protocol, InferOptionsRoundtrip) {
   Req.Inv.Command = "infer";
   Req.Inv.Source = "int f() { int x = 3; return x; }\n";
   Req.Inv.HasSource = true;
-  Req.Inv.Session.Infer.Engine = checker::InferenceEngine::Fixpoint;
   Req.Inv.Session.Infer.Scope = checker::InferenceScope::LocalsOnly;
   Req.Inv.Session.Infer.MaxSuggestions = 9;
   Req.Inv.Session.Infer.Apply = true;
@@ -206,7 +205,6 @@ TEST(Protocol, InferOptionsRoundtrip) {
       server::rpc::parseRequest(server::rpc::encodeRequest(Req), Back, Error))
       << Error;
   EXPECT_EQ(Back.Inv.Command, "infer");
-  EXPECT_EQ(Back.Inv.Session.Infer.Engine, checker::InferenceEngine::Fixpoint);
   EXPECT_EQ(Back.Inv.Session.Infer.Scope, checker::InferenceScope::LocalsOnly);
   EXPECT_EQ(Back.Inv.Session.Infer.MaxSuggestions, 9u);
   EXPECT_TRUE(Back.Inv.Session.Infer.Apply);
@@ -220,19 +218,22 @@ TEST(Protocol, InferOptionsRoundtrip) {
   std::string Line = server::rpc::encodeRequest(Bare);
   EXPECT_EQ(Line.find("infer_"), std::string::npos) << Line;
   ASSERT_TRUE(server::rpc::parseRequest(Line, Back, Error)) << Error;
-  EXPECT_EQ(Back.Inv.Session.Infer.Engine,
-            checker::InferenceEngine::Constraints);
   EXPECT_EQ(Back.Inv.Session.Infer.Scope, checker::InferenceScope::Program);
   EXPECT_EQ(Back.Inv.Session.Infer.MaxSuggestions, 0u);
   EXPECT_FALSE(Back.Inv.Session.Infer.Apply);
   EXPECT_FALSE(Back.Inv.InferJson);
 
-  // Unknown engine / scope names are hard protocol errors.
-  EXPECT_FALSE(server::rpc::parseRequest(
-      "{\"v\":\"stq-rpc-v1\",\"command\":\"infer\",\"source\":\"\","
-      "\"options\":{\"infer_engine\":\"magic\"}}",
-      Back, Error));
-  EXPECT_NE(Error.find("magic"), std::string::npos) << Error;
+  // There is one inference engine: the retired engine selector is an
+  // unknown option, whatever its value.
+  for (const char *Engine : {"fixpoint", "constraints"}) {
+    EXPECT_FALSE(server::rpc::parseRequest(
+        std::string("{\"v\":\"stq-rpc-v1\",\"command\":\"infer\","
+                    "\"source\":\"\",\"options\":{\"infer_engine\":\"") +
+            Engine + "\"}}",
+        Back, Error));
+    EXPECT_EQ(Error, "unknown option 'infer_engine'");
+  }
+  // Unknown scope names are hard protocol errors.
   EXPECT_FALSE(server::rpc::parseRequest(
       "{\"v\":\"stq-rpc-v1\",\"command\":\"infer\",\"source\":\"\","
       "\"options\":{\"infer_scope\":\"galaxy\"}}",
