@@ -42,6 +42,9 @@ void ThreadPool::submit(std::function<void()> Task) {
     std::lock_guard<std::mutex> Lock(Queues[Target]->M);
     Queues[Target]->Q.push_back(std::move(Task));
   }
+  // A worker reads Pending and then sleeps while holding WakeM; taking it
+  // here orders this notify after that sleep begins, so it cannot be lost.
+  { std::lock_guard<std::mutex> Lock(WakeM); }
   WakeCv.notify_one();
 }
 
