@@ -10,20 +10,17 @@
 //     subsystem, so the speedup is the headline number;
 //   * preprocessor volume (input lines consumed, expanded lines
 //     produced, includes honored) for throughput tracking;
-//   * a byte-identity bit: diagnostics and verdict counters at jobs 4
-//     must equal jobs 1 exactly (hard-gated, any host).
+//   * a byte-identity correctness gate: diagnostics and verdict counters
+//     at jobs 4 must equal jobs 1 exactly, on any host.
 //
 // On a single-CPU host a genuine parallel speedup is impossible, so the
-// scaling gate mirrors bench_inference: above 1 hardware thread jobs-4
-// must beat jobs-1; at 1 it must merely stay within scheduling noise.
-// The gate exits non-zero when STQ_ENFORCE_TIMING_BOUNDS=1 (the CI
-// frontend-smoke job sets it); otherwise it is informational.
-//
-// Results go to BENCH_frontend.json (schema stq-bench-frontend-v1);
-// STQ_FRONTEND_BENCH_OUT overrides the path.
+// scaling timing gate mirrors bench_inference: above 1 hardware thread
+// jobs-4 must beat jobs-1; at 1 it must merely stay within scheduling
+// noise. Results go to BENCH_frontend.json (bench/Report.h).
 //
 //===----------------------------------------------------------------------===//
 
+#include "Report.h"
 #include "driver/Session.h"
 #include "workloads/Workloads.h"
 
@@ -32,7 +29,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -101,15 +97,7 @@ RunResult runOnce(const workloads::MultiTuProgram &P, const pp::FileMap &Files,
   return R;
 }
 
-struct ResultEntry {
-  std::string Name;
-  std::string Detail;
-  double Value = 0;
-  const char *Unit = "seconds";
-};
-
-std::vector<ResultEntry> measure(bool &AcceptanceOk) {
-  std::vector<ResultEntry> Entries;
+void measure(bench::Report &R) {
   // Seed 3 plants one qualifier warning, so the byte-identity comparison
   // covers remapped diagnostics and not just the verdict line.
   workloads::MultiTuProgram P =
@@ -139,53 +127,36 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk) {
 
   bool ByteIdentical = J1.Diags == J4.Diags && J1.QualErrors == J4.QualErrors;
 
-  Entries.push_back({"translation_units",
-                     "generated .c files checked (plus one shared header)",
-                     static_cast<double>(P.Units.size()), "count"});
-  Entries.push_back({"source_lines",
-                     "non-blank lines across headers and units",
-                     static_cast<double>(P.Lines), "count"});
-  Entries.push_back({"pp_lines_in",
-                     "physical input lines the preprocessor consumed",
-                     static_cast<double>(J1.Pp.LinesIn), "count"});
-  Entries.push_back({"pp_lines_out",
-                     "expanded output lines the parser consumed",
-                     static_cast<double>(J1.Pp.LinesOut), "count"});
-  Entries.push_back({"pp_includes",
-                     "#include directives honored across all TUs",
-                     static_cast<double>(J1.Pp.Includes), "count"});
-  Entries.push_back({"pp_expansions",
-                     "macro invocations expanded across all TUs",
-                     static_cast<double>(J1.Pp.Expansions), "count"});
-  Entries.push_back({"frontend_jobs1_seconds",
-                     "front-end phase (preprocess+parse+sema+lower, all "
-                     "TUs) at --jobs 1, best of " +
-                         std::to_string(Reps),
-                     Front1});
-  Entries.push_back({"frontend_jobs4_seconds",
-                     "front-end phase at --jobs 4, best of " +
-                         std::to_string(Reps),
-                     Front4});
-  Entries.push_back({"frontend_speedup_4x",
-                     "front-end phase: jobs-1 time over jobs-4 time",
-                     Front4 > 0 ? Front1 / Front4 : 0, "ratio"});
-  Entries.push_back({"check_jobs1_seconds",
-                     "end-to-end checkFiles at --jobs 1, best of " +
-                         std::to_string(Reps),
-                     Best1});
-  Entries.push_back({"check_jobs4_seconds",
-                     "end-to-end checkFiles at --jobs 4, best of " +
-                         std::to_string(Reps),
-                     Best4});
-  Entries.push_back({"check_speedup_4x",
-                     "end-to-end: jobs-1 time over jobs-4 time",
-                     Best4 > 0 ? Best1 / Best4 : 0, "ratio"});
-  Entries.push_back({"diagnostics_byte_identical",
-                     "jobs-4 diagnostics and verdict equal jobs-1 exactly",
-                     ByteIdentical ? 1.0 : 0.0, "bool"});
-  Entries.push_back({"planted_warnings",
-                     "qualifier warnings the generator planted",
-                     static_cast<double>(P.PlantedWarnings), "count"});
+  const std::string BestOf = ", best of " + std::to_string(Reps);
+  R.add("translation_units", static_cast<double>(P.Units.size()), "count",
+        "generated .c files checked (plus one shared header)");
+  R.add("source_lines", P.Lines, "count",
+        "non-blank lines across headers and units");
+  R.add("pp_lines_in", static_cast<double>(J1.Pp.LinesIn), "count",
+        "physical input lines the preprocessor consumed");
+  R.add("pp_lines_out", static_cast<double>(J1.Pp.LinesOut), "count",
+        "expanded output lines the parser consumed");
+  R.add("pp_includes", static_cast<double>(J1.Pp.Includes), "count",
+        "#include directives honored across all TUs");
+  R.add("pp_expansions", static_cast<double>(J1.Pp.Expansions), "count",
+        "macro invocations expanded across all TUs");
+  R.add("frontend_jobs1_seconds", Front1, "seconds",
+        "front-end phase (preprocess+parse+sema+lower, all TUs) at --jobs 1" +
+            BestOf);
+  R.add("frontend_jobs4_seconds", Front4, "seconds",
+        "front-end phase at --jobs 4" + BestOf);
+  R.add("frontend_speedup_4x", Front4 > 0 ? Front1 / Front4 : 0, "ratio",
+        "front-end phase: jobs-1 time over jobs-4 time");
+  R.add("check_jobs1_seconds", Best1, "seconds",
+        "end-to-end checkFiles at --jobs 1" + BestOf);
+  R.add("check_jobs4_seconds", Best4, "seconds",
+        "end-to-end checkFiles at --jobs 4" + BestOf);
+  R.add("check_speedup_4x", Best4 > 0 ? Best1 / Best4 : 0, "ratio",
+        "end-to-end: jobs-1 time over jobs-4 time");
+  R.add("planted_warnings", P.PlantedWarnings, "count",
+        "qualifier warnings the generator planted");
+  R.gate("diagnostics_byte_identical", bench::GateKind::Correctness,
+         ByteIdentical, "jobs-4 diagnostics and verdict equal jobs-1 exactly");
 
   // On a single-CPU host a genuine parallel speedup is impossible, and the
   // per-TU fan-out pays real oversubscription cost (one task per TU, all
@@ -194,33 +165,13 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk) {
   unsigned HW = std::thread::hardware_concurrency();
   bool ScalingOk = HW > 1 ? Front4 > 0 && Front4 < Front1
                           : Front4 > 0 && Front4 < Front1 * 1.5;
-  Entries.push_back({"hardware_threads",
-                     "std::thread::hardware_concurrency() on this host "
-                     "(speedup is hard-gated only above 1)",
-                     static_cast<double>(HW), "count"});
-  AcceptanceOk = ScalingOk && ByteIdentical;
-  return Entries;
-}
-
-bool writeReport(const std::vector<ResultEntry> &Entries,
-                 const std::string &Path) {
-  std::ofstream OS(Path);
-  if (!OS)
-    return false;
-  OS << "{\n  \"schema\": \"stq-bench-frontend-v1\",\n  \"entries\": [\n";
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    const ResultEntry &E = Entries[I];
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.6f", E.Value);
-    OS << "    {\n"
-       << "      \"name\": \"" << E.Name << "\",\n"
-       << "      \"detail\": \"" << E.Detail << "\",\n"
-       << "      \"value\": " << Buf << ",\n"
-       << "      \"unit\": \"" << E.Unit << "\"\n"
-       << "    }" << (I + 1 < Entries.size() ? "," : "") << "\n";
-  }
-  OS << "  ]\n}\n";
-  return true;
+  R.add("hardware_threads", HW, "count",
+        "std::thread::hardware_concurrency() on this host (speedup is "
+        "required only above 1)");
+  R.gate("frontend_scaling", bench::GateKind::Timing, ScalingOk,
+         HW > 1 ? "jobs-4 front-end phase faster than jobs-1"
+                : "one hardware thread: jobs-4 front-end phase within 1.5x "
+                  "of jobs-1");
 }
 
 } // namespace
@@ -246,29 +197,11 @@ static void BM_MultiTuLoad(benchmark::State &State) {
 BENCHMARK(BM_MultiTuLoad)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char **argv) {
-  bool AcceptanceOk = false;
-  std::vector<ResultEntry> Entries = measure(AcceptanceOk);
-  std::printf("=== multi-TU front end: ingestion throughput and scaling ===\n");
-  for (const ResultEntry &E : Entries)
-    std::printf("%-32s %12.6f %s\n", E.Name.c_str(), E.Value, E.Unit);
-  const char *Out = std::getenv("STQ_FRONTEND_BENCH_OUT");
-  std::string Path = Out && *Out ? Out : "BENCH_frontend.json";
-  if (writeReport(Entries, Path))
-    std::printf("report written to %s\n\n", Path.c_str());
-  else
-    std::printf("could not write %s\n\n", Path.c_str());
-  const char *Enforce = std::getenv("STQ_ENFORCE_TIMING_BOUNDS");
-  if (!AcceptanceOk) {
-    std::fprintf(stderr,
-                 "bench_frontend: scaling or byte-identity gate failed%s\n",
-                 Enforce && *Enforce && *Enforce != '0'
-                     ? " (STQ_ENFORCE_TIMING_BOUNDS set: failing)"
-                     : " (informational; set STQ_ENFORCE_TIMING_BOUNDS=1 "
-                       "to enforce)");
-    if (Enforce && *Enforce && *Enforce != '0')
-      return 1;
-  }
+  bench::Report R("bench_frontend", "frontend",
+                  "multi-TU front end: ingestion throughput and scaling");
+  measure(R);
+  int Status = R.finish();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return Status;
 }

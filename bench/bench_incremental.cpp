@@ -10,16 +10,15 @@
 //   * a signature edit at the chain's root (every transitive caller
 //     re-checks — the worst warm case).
 //
-// Alongside the latencies the report records the work-item counters, and
-// the process exits non-zero unless a warm single-function edit re-checked
-// strictly fewer functions than the cold run — the acceptance criterion CI
-// pins.
-//
-// Results go to BENCH_incremental.json (schema stq-bench-incremental-v1);
-// STQ_INCREMENTAL_BENCH_OUT overrides the path.
+// Alongside the latencies the report (BENCH_incremental.json,
+// bench/Report.h) records the work-item counters, and two correctness
+// gates hold them: a warm single-function edit re-checks strictly fewer
+// functions than the cold run, and a root signature edit re-checks more
+// than the body edit but no more than the whole unit.
 //
 //===----------------------------------------------------------------------===//
 
+#include "Report.h"
 #include "checker/Incremental.h"
 #include "driver/Session.h"
 
@@ -28,10 +27,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 using namespace stq;
 using checker::incremental::Engine;
@@ -117,31 +114,23 @@ double checkOnce(const std::string &Source, double *Phase = nullptr) {
   return Elapsed;
 }
 
-struct ResultEntry {
-  std::string Name;
-  std::string Detail;
-  double Value = 0;
-  const char *Unit = "seconds";
-};
-
-std::vector<ResultEntry> measure(bool &AcceptanceOk) {
-  std::vector<ResultEntry> Entries;
+void measure(bench::Report &R) {
   constexpr int Reps = 10;
   checker::incremental::RecheckStats Stats;
 
   // Cold baseline: a full check in a fresh Session, as the CLI pays it.
-  double ColdPhase = 0;
+  double Cold = 0, ColdPhase = 0;
   {
     double Total = 0, PhaseTotal = 0, Phase = 0;
     for (int I = 0; I < Reps; ++I) {
       Total += checkOnce(program(7, I % 2), &Phase);
       PhaseTotal += Phase;
     }
+    Cold = Total / Reps;
     ColdPhase = PhaseTotal / Reps;
-    Entries.push_back({"check_cold_seconds",
-                       "mean full `check` of the " + std::to_string(NumFns) +
-                           "-function unit in a fresh Session",
-                       Total / Reps});
+    R.add("check_cold_seconds", Cold, "seconds",
+          "mean full `check` of the " + std::to_string(NumFns) +
+              "-function unit in a fresh Session");
   }
 
   Engine E;
@@ -153,16 +142,15 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk) {
     double Total = 0;
     for (int I = 0; I < Reps; ++I)
       Total += recheckOnce(E, program(7, 0), Stats);
-    Entries.push_back({"recheck_noop_warm_seconds",
-                       "mean warm recheck of the unchanged unit (every work "
-                       "item served from the store)",
-                       Total / Reps});
+    R.add("recheck_noop_warm_seconds", Total / Reps, "seconds",
+          "mean warm recheck of the unchanged unit (every work item served "
+          "from the store)");
   }
 
   // Body edit: a fresh constant each rep, so every rep is a genuine
   // single-function edit against a warm store (never a replayed variant).
   unsigned BodyEditRechecked = 0;
-  double BodyEditPhase = 0;
+  double BodyEdit = 0, BodyEditPhase = 0;
   {
     double Total = 0, PhaseTotal = 0, Phase = 0;
     for (int I = 0; I < Reps; ++I) {
@@ -170,10 +158,10 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk) {
       PhaseTotal += Phase;
       BodyEditRechecked = Stats.Rechecked;
     }
+    BodyEdit = Total / Reps;
     BodyEditPhase = PhaseTotal / Reps;
-    Entries.push_back({"recheck_body_edit_warm_seconds",
-                       "mean warm recheck after a one-function body edit",
-                       Total / Reps});
+    R.add("recheck_body_edit_warm_seconds", BodyEdit, "seconds",
+          "mean warm recheck after a one-function body edit");
   }
 
   // Signature edit at the chain root: the invalidation closure re-checks
@@ -185,67 +173,40 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk) {
       Total += recheckOnce(E, program(7, 0, I % 2 == 0), Stats);
       SigEditRechecked = Stats.Rechecked;
     }
-    Entries.push_back({"recheck_sig_edit_warm_seconds",
-                       "mean warm recheck after a signature edit at the "
-                       "call chain's root (transitive callers re-check)",
-                       Total / Reps});
+    R.add("recheck_sig_edit_warm_seconds", Total / Reps, "seconds",
+          "mean warm recheck after a signature edit at the call chain's "
+          "root (transitive callers re-check)");
   }
 
-  Entries.push_back({"work_items_total",
-                     "work items in the unit (functions + globals)",
-                     static_cast<double>(UnitsTotal), "count"});
-  Entries.push_back({"work_items_rechecked_body_edit",
-                     "items re-checked by a warm single-function body edit",
-                     static_cast<double>(BodyEditRechecked), "count"});
-  Entries.push_back({"work_items_rechecked_sig_edit",
-                     "items re-checked by a warm root signature edit",
-                     static_cast<double>(SigEditRechecked), "count"});
+  R.add("work_items_total", UnitsTotal, "count",
+        "work items in the unit (functions + globals)");
+  R.add("work_items_rechecked_body_edit", BodyEditRechecked, "count",
+        "items re-checked by a warm single-function body edit");
+  R.add("work_items_rechecked_sig_edit", SigEditRechecked, "count",
+        "items re-checked by a warm root signature edit");
+  R.add("body_edit_speedup", BodyEdit > 0 ? Cold / BodyEdit : 0, "ratio",
+        "cold full check latency / warm body-edit latency (front end "
+        "included, so unit-size bound)");
+  R.add("qualcheck_cold_seconds", ColdPhase, "seconds",
+        "mean checking-phase time of the cold full check (front end "
+        "excluded)");
+  R.add("qualcheck_body_edit_warm_seconds", BodyEditPhase, "seconds",
+        "mean checking-phase time of the warm body-edit recheck (front end "
+        "excluded)");
+  R.add("qualcheck_body_edit_speedup",
+        BodyEditPhase > 0 ? ColdPhase / BodyEditPhase : 0, "ratio",
+        "cold checking-phase time / warm body-edit checking-phase time");
 
-  const double Cold = Entries[0].Value;
-  const double BodyEdit = Entries[2].Value;
-  Entries.push_back({"body_edit_speedup",
-                     "cold full check latency / warm body-edit latency "
-                     "(front end included, so unit-size bound)",
-                     BodyEdit > 0 ? Cold / BodyEdit : 0, "ratio"});
-  Entries.push_back({"qualcheck_cold_seconds",
-                     "mean checking-phase time of the cold full check "
-                     "(front end excluded)",
-                     ColdPhase});
-  Entries.push_back({"qualcheck_body_edit_warm_seconds",
-                     "mean checking-phase time of the warm body-edit "
-                     "recheck (front end excluded)",
-                     BodyEditPhase});
-  Entries.push_back({"qualcheck_body_edit_speedup",
-                     "cold checking-phase time / warm body-edit "
-                     "checking-phase time",
-                     BodyEditPhase > 0 ? ColdPhase / BodyEditPhase : 0,
-                     "ratio"});
-
-  // The acceptance criterion: a warm single-function edit re-checks
-  // strictly fewer work items than a cold run checks.
-  AcceptanceOk = BodyEditRechecked > 0 && BodyEditRechecked < UnitsTotal;
-  return Entries;
-}
-
-bool writeReport(const std::vector<ResultEntry> &Entries,
-                 const std::string &Path) {
-  std::ofstream OS(Path);
-  if (!OS)
-    return false;
-  OS << "{\n  \"schema\": \"stq-bench-incremental-v1\",\n  \"entries\": [\n";
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    const ResultEntry &E = Entries[I];
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.6f", E.Value);
-    OS << "    {\n"
-       << "      \"name\": \"" << E.Name << "\",\n"
-       << "      \"detail\": \"" << E.Detail << "\",\n"
-       << "      \"value\": " << Buf << ",\n"
-       << "      \"unit\": \"" << E.Unit << "\"\n"
-       << "    }" << (I + 1 < Entries.size() ? "," : "") << "\n";
-  }
-  OS << "  ]\n}\n";
-  return true;
+  const std::string Counts = std::to_string(BodyEditRechecked) + " body, " +
+                             std::to_string(SigEditRechecked) + " sig, of " +
+                             std::to_string(UnitsTotal) + " items";
+  R.gate("body_edit_rechecks_fewer", bench::GateKind::Correctness,
+         BodyEditRechecked > 0 && BodyEditRechecked < UnitsTotal,
+         "0 < body < total: " + Counts);
+  R.gate("sig_edit_rechecks_callers", bench::GateKind::Correctness,
+         BodyEditRechecked < SigEditRechecked &&
+             SigEditRechecked <= UnitsTotal,
+         "body < sig <= total: " + Counts);
 }
 
 } // namespace
@@ -276,24 +237,11 @@ static void BM_WarmBodyEditRecheck(benchmark::State &State) {
 BENCHMARK(BM_WarmBodyEditRecheck)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char **argv) {
-  bool AcceptanceOk = false;
-  std::vector<ResultEntry> Entries = measure(AcceptanceOk);
-  std::printf("=== incremental edit-to-verdict latency ===\n");
-  for (const ResultEntry &E : Entries)
-    std::printf("%-36s %12.6f %s\n", E.Name.c_str(), E.Value, E.Unit);
-  const char *Out = std::getenv("STQ_INCREMENTAL_BENCH_OUT");
-  std::string Path = Out && *Out ? Out : "BENCH_incremental.json";
-  if (writeReport(Entries, Path))
-    std::printf("report written to %s\n\n", Path.c_str());
-  else
-    std::printf("could not write %s\n\n", Path.c_str());
-  if (!AcceptanceOk) {
-    std::fprintf(stderr,
-                 "bench_incremental: FAIL: a warm body edit did not re-check "
-                 "strictly fewer work items than a cold run\n");
-    return 1;
-  }
+  bench::Report R("bench_incremental", "incremental",
+                  "incremental edit-to-verdict latency");
+  measure(R);
+  int Status = R.finish();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return Status;
 }

@@ -11,21 +11,18 @@
 //   * and warm against a shared prover cache (suggestion-minimization
 //     implication queries replay).
 //
-// Alongside the latencies the report records solver statistics, and the
-// process exits non-zero unless (a) the jobs-4 solve phase beats jobs-1
-// (enforced only when the host has more than one hardware thread — on a
-// single-CPU machine parallel wall-clock speedup is physically
-// impossible, so there the solve must merely stay within noise of
-// jobs-1, matching bench_parallel_scaling's hardware-aware handling),
-// (b) the suggestion report is byte-identical across job counts, and
-// (c) applying the suggestions re-checks completely clean — the
-// acceptance criteria the CI inference-smoke job pins.
-//
-// Results go to BENCH_inference.json (schema stq-bench-inference-v1);
-// STQ_INFERENCE_BENCH_OUT overrides the path.
+// Alongside the latencies the report (BENCH_inference.json,
+// bench/Report.h) records solver statistics and three gates: the
+// suggestion report is byte-identical across job counts and applying the
+// suggestions re-checks completely clean (correctness), and the jobs-4
+// solve phase beats jobs-1 (timing; on a single-CPU machine parallel
+// wall-clock speedup is physically impossible, so there the solve must
+// merely stay within noise of jobs-1, matching bench_parallel_scaling's
+// hardware-aware handling).
 //
 //===----------------------------------------------------------------------===//
 
+#include "Report.h"
 #include "driver/Session.h"
 #include "server/Exec.h"
 #include "workloads/Workloads.h"
@@ -35,7 +32,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -94,15 +90,7 @@ server::ExecResult inferInvocation(const std::string &Source, unsigned Jobs,
   return server::executeInvocation(Inv);
 }
 
-struct ResultEntry {
-  std::string Name;
-  std::string Detail;
-  double Value = 0;
-  const char *Unit = "seconds";
-};
-
-std::vector<ResultEntry> measure(bool &AcceptanceOk) {
-  std::vector<ResultEntry> Entries;
+void measure(bench::Report &R) {
   constexpr int Reps = 5;
   const workloads::GeneratedWorkload Farm =
       workloads::makeInferenceFarm(FarmFunctions);
@@ -115,30 +103,25 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk) {
   }
   Jobs1 /= Reps;
   Solve1 /= Reps;
-  Entries.push_back({"infer_cold_jobs1_seconds",
-                     "mean constraint-engine inference phase over the " +
-                         std::to_string(FarmFunctions) +
-                         "-function farm, --jobs 1, cold prover cache",
-                     Jobs1});
+  R.add("infer_cold_jobs1_seconds", Jobs1, "seconds",
+        "mean constraint-engine inference phase over the " +
+            std::to_string(FarmFunctions) +
+            "-function farm, --jobs 1, cold prover cache");
   for (int I = 0; I < Reps; ++I) {
     Jobs4 += inferOnce(Farm.Source, 4, nullptr, &Report4);
     Solve4 += Report4.Stats.SolveSeconds;
   }
   Jobs4 /= Reps;
   Solve4 /= Reps;
-  Entries.push_back({"infer_cold_jobs4_seconds",
-                     "same inference phase at --jobs 4 (sharded generation "
-                     "and solve)",
-                     Jobs4});
-  Entries.push_back({"solve_jobs1_seconds",
-                     "mean graph-solve time alone at --jobs 1 (generation "
-                     "and minimization excluded)",
-                     Solve1});
-  Entries.push_back({"solve_jobs4_seconds",
-                     "mean graph-solve time alone at --jobs 4", Solve4});
-  Entries.push_back({"solve_speedup_jobs4",
-                     "jobs-1 graph solve / jobs-4 graph solve",
-                     Solve4 > 0 ? Solve1 / Solve4 : 0, "ratio"});
+  R.add("infer_cold_jobs4_seconds", Jobs4, "seconds",
+        "same inference phase at --jobs 4 (sharded generation and solve)");
+  R.add("solve_jobs1_seconds", Solve1, "seconds",
+        "mean graph-solve time alone at --jobs 1 (generation and "
+        "minimization excluded)");
+  R.add("solve_jobs4_seconds", Solve4, "seconds",
+        "mean graph-solve time alone at --jobs 4");
+  R.add("solve_speedup_jobs4", Solve4 > 0 ? Solve1 / Solve4 : 0, "ratio",
+        "jobs-1 graph solve / jobs-4 graph solve");
 
   // Warm shared prover cache: minimization implication queries replay.
   {
@@ -148,26 +131,22 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk) {
     for (int I = 0; I < Reps; ++I)
       Warm += inferOnce(Farm.Source, 1, &Shared);
     Warm /= Reps;
-    Entries.push_back({"infer_warm_cache_seconds",
-                       "mean jobs-1 inference phase against a warm shared "
-                       "prover cache (implication queries replay)",
-                       Warm});
+    R.add("infer_warm_cache_seconds", Warm, "seconds",
+          "mean jobs-1 inference phase against a warm shared prover cache "
+          "(implication queries replay)");
   }
 
-  Entries.push_back({"farm_lines", "non-blank lines in the farm",
-                     static_cast<double>(Farm.Lines), "count"});
-  Entries.push_back({"constraints", "flow constraints in the graph",
-                     static_cast<double>(Report.Stats.Constraints), "count"});
-  Entries.push_back({"solve_rounds", "worklist rounds to the fixpoint",
-                     static_cast<double>(Report.Stats.SolveRounds), "count"});
-  Entries.push_back({"evaluations",
-                     "(constraint, qualifier) evaluations performed",
-                     static_cast<double>(Report.Stats.Evaluations), "count"});
-  Entries.push_back({"suggestions", "minimal-set (variable, qualifier) pairs",
-                     static_cast<double>(Report.Stats.Suggested), "count"});
-  Entries.push_back({"implied_pairs",
-                     "pairs demoted by prover-discharged implication",
-                     static_cast<double>(Report.Stats.Implied), "count"});
+  R.add("farm_lines", Farm.Lines, "count", "non-blank lines in the farm");
+  R.add("constraints", static_cast<double>(Report.Stats.Constraints), "count",
+        "flow constraints in the graph");
+  R.add("solve_rounds", static_cast<double>(Report.Stats.SolveRounds),
+        "count", "worklist rounds to the fixpoint");
+  R.add("evaluations", static_cast<double>(Report.Stats.Evaluations), "count",
+        "(constraint, qualifier) evaluations performed");
+  R.add("suggestions", static_cast<double>(Report.Stats.Suggested), "count",
+        "minimal-set (variable, qualifier) pairs");
+  R.add("implied_pairs", static_cast<double>(Report.Stats.Implied), "count",
+        "pairs demoted by prover-discharged implication");
 
   // Acceptance: byte-identical reports across job counts, and applying
   // the suggestions re-checks completely clean.
@@ -175,9 +154,8 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk) {
   server::ExecResult R4 = inferInvocation(Farm.Source, 4, /*Apply=*/false);
   bool ByteIdentical = R1.Out == R4.Out && R1.Err == R4.Err &&
                        R1.ExitCode == R4.ExitCode;
-  Entries.push_back({"jobs_byte_identical",
-                     "suggestion report identical at --jobs 1 and 4",
-                     ByteIdentical ? 1.0 : 0.0, "bool"});
+  R.gate("jobs_byte_identical", bench::GateKind::Correctness, ByteIdentical,
+         "suggestion report identical at --jobs 1 and 4");
 
   server::ExecResult Applied = inferInvocation(Farm.Source, 1, /*Apply=*/true);
   server::Invocation Check;
@@ -187,42 +165,21 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk) {
   Check.Session.Builtins = inferBuiltins();
   bool RecheckClean = Applied.ExitCode == 0 &&
                       server::executeInvocation(Check).ExitCode == 0;
-  Entries.push_back({"apply_recheck_clean",
-                     "annotated farm re-checks with zero qualifier errors",
-                     RecheckClean ? 1.0 : 0.0, "bool"});
+  R.gate("apply_recheck_clean", bench::GateKind::Correctness, RecheckClean,
+         "annotated farm re-checks with zero qualifier errors");
 
   // On a single-CPU host a genuine parallel speedup is impossible; require
   // only that the sharded solve stays within scheduling noise of jobs-1.
   unsigned HW = std::thread::hardware_concurrency();
   bool ScalingOk = HW > 1 ? Solve4 > 0 && Solve4 < Solve1
                           : Solve4 > 0 && Solve4 < Solve1 * 1.25;
-  Entries.push_back({"hardware_threads",
-                     "std::thread::hardware_concurrency() on this host "
-                     "(speedup is hard-gated only above 1)",
-                     static_cast<double>(HW), "count"});
-  AcceptanceOk = ScalingOk && ByteIdentical && RecheckClean;
-  return Entries;
-}
-
-bool writeReport(const std::vector<ResultEntry> &Entries,
-                 const std::string &Path) {
-  std::ofstream OS(Path);
-  if (!OS)
-    return false;
-  OS << "{\n  \"schema\": \"stq-bench-inference-v1\",\n  \"entries\": [\n";
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    const ResultEntry &E = Entries[I];
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.6f", E.Value);
-    OS << "    {\n"
-       << "      \"name\": \"" << E.Name << "\",\n"
-       << "      \"detail\": \"" << E.Detail << "\",\n"
-       << "      \"value\": " << Buf << ",\n"
-       << "      \"unit\": \"" << E.Unit << "\"\n"
-       << "    }" << (I + 1 < Entries.size() ? "," : "") << "\n";
-  }
-  OS << "  ]\n}\n";
-  return true;
+  R.add("hardware_threads", HW, "count",
+        "std::thread::hardware_concurrency() on this host (speedup is "
+        "required only above 1)");
+  R.gate("solve_scaling", bench::GateKind::Timing, ScalingOk,
+         HW > 1 ? "jobs-4 graph solve faster than jobs-1"
+                : "one hardware thread: jobs-4 graph solve within 1.25x of "
+                  "jobs-1");
 }
 
 } // namespace
@@ -238,26 +195,11 @@ static void BM_InferConstraintsJobs4(benchmark::State &State) {
 BENCHMARK(BM_InferConstraintsJobs4)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char **argv) {
-  bool AcceptanceOk = false;
-  std::vector<ResultEntry> Entries = measure(AcceptanceOk);
-  std::printf("=== whole-program inference solve scaling ===\n");
-  for (const ResultEntry &E : Entries)
-    std::printf("%-32s %12.6f %s\n", E.Name.c_str(), E.Value, E.Unit);
-  const char *Out = std::getenv("STQ_INFERENCE_BENCH_OUT");
-  std::string Path = Out && *Out ? Out : "BENCH_inference.json";
-  if (writeReport(Entries, Path))
-    std::printf("report written to %s\n\n", Path.c_str());
-  else
-    std::printf("could not write %s\n\n", Path.c_str());
-  if (!AcceptanceOk) {
-    std::fprintf(stderr,
-                 "bench_inference: FAIL: expected a jobs-4 solve-phase "
-                 "speedup over jobs-1 (parity within noise on single-CPU "
-                 "hosts), byte-identical reports across job counts, and a "
-                 "clean re-check of the applied suggestions\n");
-    return 1;
-  }
+  bench::Report R("bench_inference", "inference",
+                  "whole-program inference solve scaling");
+  measure(R);
+  int Status = R.finish();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return Status;
 }

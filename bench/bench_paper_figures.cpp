@@ -5,12 +5,12 @@
 //
 // Also measures the paper's headline timing claims (value-qualifier
 // soundness under a second, reference-qualifier soundness under thirty,
-// checking overhead under a second) and writes them to BENCH_timings.json
-// so CI can track them. Set STQ_ENFORCE_TIMING_BOUNDS=1 to make a blown
-// bound a hard failure; STQ_TIMINGS_OUT overrides the output path.
+// checking overhead under a second) as timing gates in BENCH_timings.json
+// (bench/Report.h).
 //
 //===----------------------------------------------------------------------===//
 
+#include "Report.h"
 #include "driver/Session.h"
 #include "interp/Interp.h"
 #include "workloads/Workloads.h"
@@ -19,8 +19,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -103,23 +101,27 @@ void printTable() {
 // BENCH_timings.json: the paper's wall-clock claims, measured.
 // ---------------------------------------------------------------------------
 
-struct TimingEntry {
-  const char *Name;
-  const char *Claim;
-  double Seconds = 0;
-  double BoundSeconds = 0;
-  bool withinBound() const { return Seconds <= BoundSeconds; }
-};
-
 double secondsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        Start)
       .count();
 }
 
-std::vector<TimingEntry> measureTimings() {
-  std::vector<TimingEntry> Entries;
+/// Records one claim: the measured seconds, the paper's bound, and a
+/// timing gate holding the measurement to the bound itself (not a slack
+/// multiple of it).
+void claim(bench::Report &R, const std::string &Name, const char *Claim,
+           double Seconds, double BoundSeconds) {
+  R.add(Name + "_seconds", Seconds, "seconds", Claim);
+  R.add(Name + "_bound_seconds", BoundSeconds, "seconds",
+        "the paper's bound for this claim");
+  char Detail[96];
+  std::snprintf(Detail, sizeof(Detail), "%.4f s measured, bound %.1f s",
+                Seconds, BoundSeconds);
+  R.gate(Name, bench::GateKind::Timing, Seconds <= BoundSeconds, Detail);
+}
 
+void measureTimings(bench::Report &R) {
   // Section 4: discharging a value qualifier's proof obligations takes
   // under a second.
   {
@@ -129,10 +131,10 @@ std::vector<TimingEntry> measureTimings() {
     S.loadQualifiers();
     auto Start = std::chrono::steady_clock::now();
     S.prove();
-    Entries.push_back({"value_qualifier_soundness",
-                       "section 4: value-qualifier soundness proofs finish "
-                       "in under a second",
-                       secondsSince(Start), 1.0});
+    claim(R, "value_qualifier_soundness",
+          "section 4: value-qualifier soundness proofs finish in under a "
+          "second",
+          secondsSince(Start), 1.0);
   }
 
   // Section 5: reference-qualifier obligations quantify over the heap and
@@ -144,10 +146,10 @@ std::vector<TimingEntry> measureTimings() {
     S.loadQualifiers();
     auto Start = std::chrono::steady_clock::now();
     S.prove();
-    Entries.push_back({"ref_qualifier_soundness",
-                       "section 5: reference-qualifier soundness proofs "
-                       "finish in under thirty seconds",
-                       secondsSince(Start), 30.0});
+    claim(R, "ref_qualifier_soundness",
+          "section 5: reference-qualifier soundness proofs finish in under "
+          "thirty seconds",
+          secondsSince(Start), 30.0);
   }
 
   // Section 6: qualifier checking adds under one second of compile time on
@@ -165,62 +167,11 @@ std::vector<TimingEntry> measureTimings() {
       auto Result = Checker.run();
       benchmark::DoNotOptimize(Result.QualErrors);
     }
-    Entries.push_back({"check_overhead_grep_dfa",
-                       "section 6: qualifier checking adds under one second "
-                       "of compile time",
-                       secondsSince(Start), 1.0});
+    claim(R, "check_overhead_grep_dfa",
+          "section 6: qualifier checking adds under one second of compile "
+          "time",
+          secondsSince(Start), 1.0);
   }
-
-  return Entries;
-}
-
-bool writeTimings(const std::vector<TimingEntry> &Entries,
-                  const std::string &Path) {
-  std::ofstream OS(Path);
-  if (!OS)
-    return false;
-  bool All = true;
-  OS << "{\n  \"schema\": \"stq-bench-timings-v1\",\n  \"entries\": [\n";
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    const TimingEntry &E = Entries[I];
-    All = All && E.withinBound();
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.6f", E.Seconds);
-    OS << "    {\n"
-       << "      \"name\": \"" << E.Name << "\",\n"
-       << "      \"claim\": \"" << E.Claim << "\",\n"
-       << "      \"seconds\": " << Buf << ",\n";
-    std::snprintf(Buf, sizeof(Buf), "%.6f", E.BoundSeconds);
-    OS << "      \"bound_seconds\": " << Buf << ",\n"
-       << "      \"within_bound\": " << (E.withinBound() ? "true" : "false")
-       << "\n    }" << (I + 1 < Entries.size() ? "," : "") << "\n";
-  }
-  OS << "  ],\n  \"all_within_bounds\": " << (All ? "true" : "false")
-     << "\n}\n";
-  return true;
-}
-
-// Returns false when a bound was blown and STQ_ENFORCE_TIMING_BOUNDS asks
-// us to treat that as a failure.
-bool reportTimings() {
-  std::vector<TimingEntry> Entries = measureTimings();
-  std::printf("=== Paper timing claims ===\n");
-  bool All = true;
-  for (const TimingEntry &E : Entries) {
-    All = All && E.withinBound();
-    std::printf("%-28s %9.4fs (bound %5.1fs) %s\n", E.Name, E.Seconds,
-                E.BoundSeconds, E.withinBound() ? "ok" : "EXCEEDED");
-  }
-  const char *Out = std::getenv("STQ_TIMINGS_OUT");
-  std::string Path = Out && *Out ? Out : "BENCH_timings.json";
-  if (writeTimings(Entries, Path))
-    std::printf("timings written to %s\n\n", Path.c_str());
-  else
-    std::printf("could not write %s\n\n", Path.c_str());
-  const char *Enforce = std::getenv("STQ_ENFORCE_TIMING_BOUNDS");
-  if (Enforce && *Enforce && std::string(Enforce) != "0" && !All)
-    return false;
-  return true;
 }
 
 } // namespace
@@ -278,8 +229,10 @@ BENCHMARK(BM_RuntimeCheckFailurePath)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char **argv) {
   printTable();
-  bool BoundsOk = reportTimings();
+  bench::Report R("bench_paper_figures", "timings", "Paper timing claims");
+  measureTimings(R);
+  int Status = R.finish();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return BoundsOk ? 0 : 1;
+  return Status;
 }

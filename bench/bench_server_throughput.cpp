@@ -10,11 +10,13 @@
 //     round-trip including all socket and JSON overhead;
 //   * sustained throughput as 1..8 concurrent clients issue requests.
 //
-// Results go to BENCH_server.json (schema stq-bench-server-v1) so CI can
-// track them; STQ_SERVER_BENCH_OUT overrides the path.
+// Results go to BENCH_server.json (bench/Report.h), with a timing gate
+// that the warm prove is no slower than the cold one: a slower warm
+// request means the shared cache was not used.
 //
 //===----------------------------------------------------------------------===//
 
+#include "Report.h"
 #include "server/Exec.h"
 #include "server/Protocol.h"
 #include "server/Server.h"
@@ -26,7 +28,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,16 +121,7 @@ server::rpc::Request checkRequest() {
   return Req;
 }
 
-struct ResultEntry {
-  std::string Name;
-  std::string Detail;
-  double Value = 0;
-  const char *Unit = "seconds";
-};
-
-std::vector<ResultEntry> measure(BenchServer &Server) {
-  std::vector<ResultEntry> Entries;
-
+void measure(BenchServer &Server, bench::Report &R) {
   // Cold vs warm prove: request one is the only one that pays the prover.
   {
     auto Start = std::chrono::steady_clock::now();
@@ -138,17 +130,17 @@ std::vector<ResultEntry> measure(BenchServer &Server) {
     Start = std::chrono::steady_clock::now();
     Server.roundTrip(proveRequest());
     double Warm = secondsSince(Start);
-    Entries.push_back({"prove_cold_seconds",
-                       "first prove request: every obligation hits the "
-                       "prover, results enter the shared cache",
-                       Cold});
-    Entries.push_back({"prove_warm_seconds",
-                       "second prove request: replayed entirely from the "
-                       "warm shared cache",
-                       Warm});
-    Entries.push_back({"prove_warm_speedup",
-                       "cold latency / warm latency",
-                       Warm > 0 ? Cold / Warm : 0, "ratio"});
+    R.add("prove_cold_seconds", Cold, "seconds",
+          "first prove request: every obligation hits the prover, results "
+          "enter the shared cache");
+    R.add("prove_warm_seconds", Warm, "seconds",
+          "second prove request: replayed entirely from the warm shared "
+          "cache");
+    R.add("prove_warm_speedup", Warm > 0 ? Cold / Warm : 0, "ratio",
+          "cold latency / warm latency");
+    R.gate("warm_prove_not_slower", bench::GateKind::Timing, Warm <= Cold,
+           "the warm prove replays from the shared cache, so it is no "
+           "slower than the cold one");
   }
 
   // One-shot vs server check: what a client saves (or pays) per request.
@@ -160,17 +152,15 @@ std::vector<ResultEntry> measure(BenchServer &Server) {
       server::ExecResult R = server::executeInvocation(Check.Inv);
       benchmark::DoNotOptimize(R.ExitCode);
     }
-    Entries.push_back({"check_one_shot_seconds",
-                       "mean `stqc check` executed locally in a fresh "
-                       "Session (no server)",
-                       secondsSince(Start) / Reps});
+    R.add("check_one_shot_seconds", secondsSince(Start) / Reps, "seconds",
+          "mean `stqc check` executed locally in a fresh Session (no "
+          "server)");
     Start = std::chrono::steady_clock::now();
     for (int I = 0; I < Reps; ++I)
       Server.roundTrip(Check);
-    Entries.push_back({"check_server_seconds",
-                       "mean `stqc check --server` round trip: socket, "
-                       "JSON framing, fresh Session on warm shared state",
-                       secondsSince(Start) / Reps});
+    R.add("check_server_seconds", secondsSince(Start) / Reps, "seconds",
+          "mean `stqc check --server` round trip: socket, JSON framing, "
+          "fresh Session on warm shared state");
   }
 
   // Concurrent-client scaling: aggregate requests per second as clients
@@ -187,36 +177,12 @@ std::vector<ResultEntry> measure(BenchServer &Server) {
     for (std::thread &T : Threads)
       T.join();
     double Elapsed = secondsSince(Start);
-    Entries.push_back(
-        {"throughput_" + std::to_string(Clients) + "_clients",
-         std::to_string(Clients) + " concurrent clients, " +
-             std::to_string(PerClient) + " requests each",
-         Elapsed > 0 ? Clients * PerClient / Elapsed : 0,
-         "requests_per_second"});
+    R.add("throughput_" + std::to_string(Clients) + "_clients",
+          Elapsed > 0 ? Clients * PerClient / Elapsed : 0,
+          "requests_per_second",
+          std::to_string(Clients) + " concurrent clients, " +
+              std::to_string(PerClient) + " requests each");
   }
-
-  return Entries;
-}
-
-bool writeReport(const std::vector<ResultEntry> &Entries,
-                 const std::string &Path) {
-  std::ofstream OS(Path);
-  if (!OS)
-    return false;
-  OS << "{\n  \"schema\": \"stq-bench-server-v1\",\n  \"entries\": [\n";
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    const ResultEntry &E = Entries[I];
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.6f", E.Value);
-    OS << "    {\n"
-       << "      \"name\": \"" << E.Name << "\",\n"
-       << "      \"detail\": \"" << E.Detail << "\",\n"
-       << "      \"value\": " << Buf << ",\n"
-       << "      \"unit\": \"" << E.Unit << "\"\n"
-       << "    }" << (I + 1 < Entries.size() ? "," : "") << "\n";
-  }
-  OS << "  ]\n}\n";
-  return true;
 }
 
 } // namespace
@@ -242,20 +208,14 @@ static void BM_CheckRoundTrip(benchmark::State &State) {
 BENCHMARK(BM_CheckRoundTrip)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char **argv) {
+  bench::Report R("bench_server_throughput", "server",
+                  "stqd server throughput");
   {
     BenchServer Server;
-    std::vector<ResultEntry> Entries = measure(Server);
-    std::printf("=== stqd server throughput ===\n");
-    for (const ResultEntry &E : Entries)
-      std::printf("%-28s %12.6f %s\n", E.Name.c_str(), E.Value, E.Unit);
-    const char *Out = std::getenv("STQ_SERVER_BENCH_OUT");
-    std::string Path = Out && *Out ? Out : "BENCH_server.json";
-    if (writeReport(Entries, Path))
-      std::printf("report written to %s\n\n", Path.c_str());
-    else
-      std::printf("could not write %s\n\n", Path.c_str());
+    measure(Server, R);
   }
+  int Status = R.finish();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return Status;
 }

@@ -11,21 +11,20 @@
 // Before timing, the three engines' results are compared field by field —
 // status, exit value, output, trap message, step count, and (between the
 // two non-eliding engines) executed-check counts. A mismatch is a
-// correctness bug and fails the bench immediately, regardless of timing.
+// correctness bug: the `engines_agree` correctness gate fails the bench in
+// any environment.
 //
 // The headline statistic is the farm run-phase speedup: total interpreter
 // time over total VM time across the whole farm, weighting each program by
 // how long it actually runs. The acceptance bound CI pins is speedup >= 3x
-// (enforced when STQ_ENFORCE_TIMING_BOUNDS=1, mirroring bench_prover); the
-// report also records per-workload speedups, compile+elide cost, elided
-// vs residual guard counts, and the residual-check overhead the elision
-// pass removes (VM-without-elision time over VM-with-elision time).
-//
-// Results go to BENCH_vm.json (schema stq-bench-vm-v1); STQ_VM_BENCH_OUT
-// overrides the path.
+// (a timing gate); the report (BENCH_vm.json, bench/Report.h) also records
+// per-workload speedups, compile+elide cost, elided vs residual guard
+// counts, and the residual-check overhead the elision pass removes
+// (VM-without-elision time over VM-with-elision time).
 //
 //===----------------------------------------------------------------------===//
 
+#include "Report.h"
 #include "checker/Checker.h"
 #include "interp/Interp.h"
 #include "qual/Builtins.h"
@@ -38,7 +37,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,13 +51,6 @@ double now() {
       .count();
 }
 
-struct ResultEntry {
-  std::string Name;
-  std::string Detail;
-  double Value = 0;
-  const char *Unit = "seconds";
-};
-
 /// One farm member: the generated program, the qualifiers it exercises,
 /// and how many repetitions one timing trial runs (sized so every
 /// workload contributes comparable wall-clock per trial).
@@ -69,11 +60,19 @@ struct FarmMember {
   int Reps;
 };
 
+/// The scaled grep-dfa shares its generator's name; the report keys
+/// entries by name, so it gets its own.
+workloads::GeneratedWorkload grepDfaX4() {
+  workloads::GeneratedWorkload W = workloads::makeGrepDfa(4);
+  W.Name += "-x4";
+  return W;
+}
+
 std::vector<FarmMember> farm() {
   using namespace stq::workloads;
   return {
       {makeGrepDfa(), {"nonnull"}, 30},
-      {makeGrepDfa(4), {"nonnull"}, 12},
+      {grepDfaX4(), {"nonnull"}, 12},
       {makeBftpd(), {"untainted"}, 120},
       {makeMingetty(), {"untainted"}, 60},
       {makeIdentd(), {"untainted"}, 120},
@@ -151,12 +150,11 @@ EngineTimes bestPerRun(int Reps, InterpFn &&RunInterp, VmFn &&RunVm,
   return Best;
 }
 
-std::vector<ResultEntry> measure(bool &AcceptanceOk, bool &ResultsMatch) {
-  std::vector<ResultEntry> Entries;
+void measure(bench::Report &R) {
   double TotInterp = 0, TotVm = 0, TotVmNoElide = 0;
   double TotCompile = 0;
   uint64_t TotQuals = 0, TotElided = 0;
-  ResultsMatch = true;
+  std::string Diverged;
 
   for (const FarmMember &F : farm()) {
     qual::QualifierSet Quals;
@@ -197,9 +195,7 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk, bool &ResultsMatch) {
     std::string Why;
     if (!sameResult(RI, RVPlain, /*CompareChecks=*/true, Why) ||
         !sameResult(RI, RV, /*CompareChecks=*/false, Why)) {
-      std::fprintf(stderr, "bench_vm: %s: VM diverges from interpreter (%s)\n",
-                   F.W.Name.c_str(), Why.c_str());
-      ResultsMatch = false;
+      Diverged += (Diverged.empty() ? "" : ", ") + F.W.Name + " (" + Why + ")";
       continue;
     }
 
@@ -221,77 +217,48 @@ std::vector<ResultEntry> measure(bool &AcceptanceOk, bool &ResultsMatch) {
     TotQuals += CP->Elision.GuardQuals;
     TotElided += CP->Elision.Elided;
 
-    Entries.push_back({F.W.Name + "_interp_run_seconds",
-                       "interpreter run phase, best of 5 trials x " +
-                           std::to_string(F.Reps) + " reps",
-                       InterpSecs});
-    Entries.push_back({F.W.Name + "_vm_run_seconds",
-                       "VM run phase with guard elision, same trials",
-                       VmSecs});
-    Entries.push_back({F.W.Name + "_vm_noelide_run_seconds",
-                       "VM run phase with every compiled guard residual",
-                       VmPlainSecs});
-    Entries.push_back({F.W.Name + "_speedup",
-                       "interpreter time / VM time for this workload",
-                       VmSecs > 0 ? InterpSecs / VmSecs : 0, "ratio"});
+    R.add(F.W.Name + "_interp_run_seconds", InterpSecs, "seconds",
+          "interpreter run phase, best of 5 trials x " +
+              std::to_string(F.Reps) + " reps");
+    R.add(F.W.Name + "_vm_run_seconds", VmSecs, "seconds",
+          "VM run phase with guard elision, same trials");
+    R.add(F.W.Name + "_vm_noelide_run_seconds", VmPlainSecs, "seconds",
+          "VM run phase with every compiled guard residual");
+    R.add(F.W.Name + "_speedup", VmSecs > 0 ? InterpSecs / VmSecs : 0,
+          "ratio", "interpreter time / VM time for this workload");
   }
 
   double Speedup = TotVm > 0 ? TotInterp / TotVm : 0;
   double SpeedupNoElide = TotVmNoElide > 0 ? TotInterp / TotVmNoElide : 0;
-  Entries.push_back({"farm_interp_run_seconds",
-                     "summed per-run interpreter time across the farm",
-                     TotInterp});
-  Entries.push_back({"farm_vm_run_seconds",
-                     "summed per-run VM time across the farm", TotVm});
-  Entries.push_back({"farm_speedup",
-                     "farm run-phase speedup (total interpreter time / "
-                     "total VM time) — the >=3x acceptance bound",
-                     Speedup, "ratio"});
-  Entries.push_back({"farm_speedup_noelide",
-                     "farm speedup with the elision pass disabled (every "
-                     "compiled guard executes)",
-                     SpeedupNoElide, "ratio"});
-  Entries.push_back({"residual_check_overhead",
-                     "VM-without-elision time / VM-with-elision time — the "
-                     "run-phase cost the elision pass removes",
-                     TotVm > 0 ? TotVmNoElide / TotVm : 0, "ratio"});
-  Entries.push_back({"compile_elide_seconds",
-                     "one-time compile + elide cost across the farm",
-                     TotCompile});
-  Entries.push_back({"guard_quals_total",
-                     "individual qualifier checks compiled across the farm",
-                     static_cast<double>(TotQuals), "count"});
-  Entries.push_back({"guard_quals_elided",
-                     "qualifier checks discharged by the prover-driven "
-                     "elision pass",
-                     static_cast<double>(TotElided), "count"});
-  Entries.push_back({"guard_quals_residual",
-                     "qualifier checks still evaluated at run time",
-                     static_cast<double>(TotQuals - TotElided), "count"});
+  R.add("farm_interp_run_seconds", TotInterp, "seconds",
+        "summed per-run interpreter time across the farm");
+  R.add("farm_vm_run_seconds", TotVm, "seconds",
+        "summed per-run VM time across the farm");
+  R.add("farm_speedup", Speedup, "ratio",
+        "farm run-phase speedup (total interpreter time / total VM time)");
+  R.add("farm_speedup_noelide", SpeedupNoElide, "ratio",
+        "farm speedup with the elision pass disabled (every compiled guard "
+        "executes)");
+  R.add("residual_check_overhead", TotVm > 0 ? TotVmNoElide / TotVm : 0,
+        "ratio",
+        "VM-without-elision time / VM-with-elision time: the run-phase cost "
+        "the elision pass removes");
+  R.add("compile_elide_seconds", TotCompile, "seconds",
+        "one-time compile + elide cost across the farm");
+  R.add("guard_quals_total", static_cast<double>(TotQuals), "count",
+        "individual qualifier checks compiled across the farm");
+  R.add("guard_quals_elided", static_cast<double>(TotElided), "count",
+        "qualifier checks discharged by the prover-driven elision pass");
+  R.add("guard_quals_residual", static_cast<double>(TotQuals - TotElided),
+        "count", "qualifier checks still evaluated at run time");
 
-  AcceptanceOk = ResultsMatch && Speedup >= 3.0;
-  return Entries;
-}
-
-bool writeReport(const std::vector<ResultEntry> &Entries,
-                 const std::string &Path) {
-  std::ofstream OS(Path);
-  if (!OS)
-    return false;
-  OS << "{\n  \"schema\": \"stq-bench-vm-v1\",\n  \"entries\": [\n";
-  for (size_t I = 0; I < Entries.size(); ++I) {
-    const ResultEntry &E = Entries[I];
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "%.6f", E.Value);
-    OS << "    {\n"
-       << "      \"name\": \"" << E.Name << "\",\n"
-       << "      \"detail\": \"" << E.Detail << "\",\n"
-       << "      \"value\": " << Buf << ",\n"
-       << "      \"unit\": \"" << E.Unit << "\"\n"
-       << "    }" << (I + 1 < Entries.size() ? "," : "") << "\n";
-  }
-  OS << "  ]\n}\n";
-  return true;
+  R.gate("engines_agree", bench::GateKind::Correctness, Diverged.empty(),
+         Diverged.empty()
+             ? "interpreter, VM and VM without elision agree on every "
+               "workload"
+             : "VM diverges from the interpreter: " + Diverged);
+  R.gate("farm_speedup_3x", bench::GateKind::Timing, Speedup >= 3.0,
+         "farm run-phase speedup of at least 3x");
 }
 
 /// Shared setup for the steady-state BENCHMARK wrappers below.
@@ -336,34 +303,10 @@ static void BM_VmChecksumKernel(benchmark::State &State) {
 BENCHMARK(BM_VmChecksumKernel)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char **argv) {
-  bool AcceptanceOk = false, ResultsMatch = true;
-  std::vector<ResultEntry> Entries = measure(AcceptanceOk, ResultsMatch);
-  std::printf("=== VM vs interpreter run phase ===\n");
-  for (const ResultEntry &E : Entries)
-    std::printf("%-40s %12.6f %s\n", E.Name.c_str(), E.Value, E.Unit);
-  const char *Out = std::getenv("STQ_VM_BENCH_OUT");
-  std::string Path = Out && *Out ? Out : "BENCH_vm.json";
-  if (writeReport(Entries, Path))
-    std::printf("report written to %s\n\n", Path.c_str());
-  else
-    std::printf("could not write %s\n\n", Path.c_str());
-  if (!ResultsMatch) {
-    std::fprintf(stderr,
-                 "bench_vm: FAIL: VM results diverge from the interpreter\n");
-    return 1;
-  }
-  const char *Enforce = std::getenv("STQ_ENFORCE_TIMING_BOUNDS");
-  if (!AcceptanceOk) {
-    std::fprintf(stderr,
-                 "bench_vm: farm run-phase speedup below the 3x bound%s\n",
-                 Enforce && *Enforce && *Enforce != '0'
-                     ? " (STQ_ENFORCE_TIMING_BOUNDS set: failing)"
-                     : " (informational; set STQ_ENFORCE_TIMING_BOUNDS=1 "
-                       "to enforce)");
-    if (Enforce && *Enforce && *Enforce != '0')
-      return 1;
-  }
+  bench::Report R("bench_vm", "vm", "VM vs interpreter run phase");
+  measure(R);
+  int Status = R.finish();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return Status;
 }

@@ -7,10 +7,12 @@
 ///
 /// \file
 /// A small JSON value type with a strict parser and a deterministic writer,
-/// used by the `stq-rpc-v1` server protocol (src/server/Protocol.h). The
-/// existing emitters (metrics, diagnostics, traces) keep their hand-rolled
-/// writers; this type exists for the code that must *read* JSON: the stqd
-/// request decoder and the stqc client-mode response decoder.
+/// used by the `stq-rpc-v1` server protocol (src/server/Protocol.h) and by
+/// the bench report writer (bench/Report.h, schema `stq-bench-v2`), whose
+/// free-text details need the writer's escaping. The older emitters
+/// (metrics, diagnostics, traces) keep their hand-rolled writers; besides
+/// the bench reports, this type serves the code that must *read* JSON: the
+/// stqd request decoder and the stqc client-mode response decoder.
 ///
 /// Supported: objects, arrays, strings (with \uXXXX escapes decoded to
 /// UTF-8), integers, doubles, booleans, null. Object member order is

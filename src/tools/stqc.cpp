@@ -348,21 +348,26 @@ int runViaServer(const CliOptions &Options, server::rpc::Request Req) {
     std::fprintf(stderr, "stqc: cannot reach server: %s\n", Error.c_str());
     return 6;
   }
-  if (!Conn.writeAll(server::rpc::encodeRequest(Req) + "\n", Error)) {
-    std::fprintf(stderr, "stqc: cannot send request: %s\n", Error.c_str());
-    return 6;
-  }
+  // A daemon with a full queue answers `busy` and closes without reading
+  // the request, so the send can fail with EPIPE while the reply already
+  // waits in the socket: read it before reporting the send failure.
+  std::string SendError;
+  bool Sent =
+      Conn.writeAll(server::rpc::encodeRequest(Req) + "\n", SendError);
   std::string Line;
   // Generous response budget: a cold `prove --jobs 1` can take a while.
-  if (!Conn.readLine(Line, /*MaxBytes=*/64u << 20, /*TimeoutMs=*/600000,
-                     Error)) {
-    std::fprintf(stderr, "stqc: no response from server%s%s\n",
-                 Error.empty() ? "" : ": ", Error.c_str());
-    return 6;
-  }
+  bool Read = Conn.readLine(Line, /*MaxBytes=*/64u << 20,
+                            /*TimeoutMs=*/600000, Error);
   server::rpc::Response Resp;
-  if (!server::rpc::parseResponse(Line, Resp, Error)) {
-    std::fprintf(stderr, "stqc: %s\n", Error.c_str());
+  if (!Read || !server::rpc::parseResponse(Line, Resp, Error)) {
+    if (!Sent)
+      std::fprintf(stderr, "stqc: cannot send request: %s\n",
+                   SendError.c_str());
+    else if (!Read)
+      std::fprintf(stderr, "stqc: no response from server%s%s\n",
+                   Error.empty() ? "" : ": ", Error.c_str());
+    else
+      std::fprintf(stderr, "stqc: %s\n", Error.c_str());
     return 6;
   }
   if (Resp.Status == "busy") {

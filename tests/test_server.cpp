@@ -602,15 +602,20 @@ bool roundTrip(const std::string &Socket, const server::rpc::Request &Req,
   UnixStream Conn;
   if (!Conn.connect(Socket, Error))
     return false;
-  if (!Conn.writeAll(server::rpc::encodeRequest(Req) + "\n", Error))
-    return false;
+  // A `busy` reply can arrive and the connection close before the request
+  // is written; the failed send must not hide that reply.
+  std::string SendError;
+  bool Sent =
+      Conn.writeAll(server::rpc::encodeRequest(Req) + "\n", SendError);
   std::string Line;
-  if (!Conn.readLine(Line, 64u << 20, TimeoutMs, Error)) {
-    if (Error.empty())
-      Error = "connection closed before a response";
-    return false;
-  }
-  return server::rpc::parseResponse(Line, Resp, Error);
+  if (Conn.readLine(Line, 64u << 20, TimeoutMs, Error) &&
+      server::rpc::parseResponse(Line, Resp, Error))
+    return true;
+  if (!Sent)
+    Error = SendError;
+  else if (Error.empty())
+    Error = "connection closed before a response";
+  return false;
 }
 
 TEST(ServerEndToEnd, CheckMatchesOneShotBytes) {
