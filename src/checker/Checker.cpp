@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 using namespace stq;
 using namespace stq::checker;
@@ -20,15 +21,44 @@ using qual::ExprPattern;
 using qual::Pred;
 using qual::QualifierDef;
 
+namespace {
+
+/// Calls \p Fn on the definition of every reference qualifier on \p Ty.
+template <typename F>
+void forEachRefQual(const qual::QualifierSet &Quals, const TypePtr &Ty, F Fn) {
+  for (const std::string &Name : Ty->quals())
+    if (const QualifierDef *Q = Quals.find(Name))
+      if (Q->IsRef)
+        Fn(Q);
+}
+
+} // namespace
+
 QualChecker::QualChecker(Program &Prog, const qual::QualifierSet &Quals,
                          DiagnosticEngine &Diags, CheckerOptions Options)
-    : Prog(Prog), Quals(Quals), Diags(Diags), Options(Options) {}
+    : Prog(&Prog), Quals(Quals), Diags(&Diags), Options(Options) {}
 
 void QualChecker::warn(SourceLoc Loc, const std::string &Message) {
   // The paper's implementation reports qualifier errors as warnings and
   // lets compilation continue.
-  Diags.warning(Loc, "qualcheck", Message);
+  Diags->warning(Loc, "qualcheck", Message);
   ++Result.QualErrors;
+}
+
+std::string QualChecker::AssignSite::str() const {
+  switch (K) {
+  case Kind::Init:
+    return "initialization of '" + *Name + "'";
+  case Kind::GlobalInit:
+    return "initialization of global '" + *Name + "'";
+  case Kind::Assign:
+    return "assignment to '" + printLValue(Target) + "'";
+  case Kind::Return:
+    return "return from '" + *Name + "'";
+  case Kind::Argument:
+    return "argument " + std::to_string(Arg) + " of call to '" + *Name + "'";
+  }
+  return "?";
 }
 
 //===----------------------------------------------------------------------===//
@@ -100,21 +130,28 @@ bool QualChecker::hasQualifier(const Expr *E, const QualifierDef *Q) {
   if (Q->Cases.empty())
     return false;
 
-  QueryKey Key(E->Id, Q);
-  if (Options.Memoize) {
-    auto Found = Memo.find(Key);
-    if (Found != Memo.end()) {
+  // A definition from outside this checker's set is not memoized.
+  const std::vector<QualifierDef> &All = Quals.all();
+  const std::less<const QualifierDef *> Before;
+  const bool Memoize = Options.Memoize && !Before(Q, All.data()) &&
+                       Before(Q, All.data() + All.size());
+  const unsigned QualIndex =
+      Memoize ? static_cast<unsigned>(Q - All.data()) : 0;
+  if (Memoize) {
+    if (const bool *Known = Memo.find(E->Id, QualIndex)) {
       ++Result.Stats.MemoHits;
-      return Found->second;
+      return *Known;
     }
   }
-  if (InProgress.count(Key)) {
+  const std::pair<unsigned, const QualifierDef *> Key(E->Id, Q);
+  if (std::find(InProgress.begin(), InProgress.end(), Key) !=
+      InProgress.end()) {
     // A derivation may not depend on itself (least fixpoint).
     TouchedInProgress = true;
     return false;
   }
 
-  InProgress.insert(Key);
+  InProgress.push_back(Key);
   bool SavedTouched = TouchedInProgress;
   TouchedInProgress = false;
 
@@ -127,13 +164,59 @@ bool QualChecker::hasQualifier(const Expr *E, const QualifierDef *Q) {
     }
   }
 
-  InProgress.erase(Key);
+  InProgress.pop_back();
   // Results that consulted an in-progress query hold only in this
   // derivation context; do not cache them.
-  if (Options.Memoize && !TouchedInProgress)
-    Memo.emplace(Key, Derivable);
+  if (Memoize && !TouchedInProgress)
+    Memo.insert(E->Id, QualIndex, Derivable);
   TouchedInProgress = TouchedInProgress || SavedTouched;
   return Derivable;
+}
+
+size_t QualChecker::MemoTable::home(unsigned Id, unsigned Qual) const {
+  uint64_t Key = (uint64_t(Id) << 8) ^ Qual;
+  return static_cast<size_t>((Key * 0x9E3779B97F4A7C15ull) >> 32) &
+         (Table.size() - 1);
+}
+
+const bool *QualChecker::MemoTable::find(unsigned Id, unsigned Qual) const {
+  if (Live == 0)
+    return nullptr;
+  for (size_t I = home(Id, Qual);; I = (I + 1) & (Table.size() - 1)) {
+    const Entry &E = Table[I];
+    if (E.Stamp != Generation)
+      return nullptr;
+    if (E.Id == Id && E.Qual == Qual)
+      return &E.Derivable;
+  }
+}
+
+void QualChecker::MemoTable::insert(unsigned Id, unsigned Qual, bool Derivable) {
+  if (2 * (Live + 1) > Table.size()) {
+    // Grow to keep the load under one half; only live entries move.
+    std::vector<Entry> Old(std::max<size_t>(64, 2 * Table.size()));
+    Old.swap(Table);
+    const uint32_t OldGeneration = Generation;
+    Generation = 1;
+    Live = 0;
+    for (const Entry &E : Old)
+      if (E.Stamp == OldGeneration)
+        insert(E.Id, E.Qual, E.Derivable);
+  }
+  size_t I = home(Id, Qual);
+  while (Table[I].Stamp == Generation)
+    I = (I + 1) & (Table.size() - 1);
+  Table[I] = Entry{Generation, Id, Qual, Derivable};
+  ++Live;
+}
+
+void QualChecker::MemoTable::clear() {
+  Live = 0;
+  if (++Generation == 0) {
+    // The stamps wrapped: forget every entry for real, once.
+    std::fill(Table.begin(), Table.end(), Entry{});
+    Generation = 1;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -144,13 +227,13 @@ bool QualChecker::bindVar(const Clause &C, const QualifierDef *Q,
                           const std::string &Name, const Expr *E,
                           Bindings &Out) {
   (void)Q;
-  if (Out.count(Name))
-    return Out[Name].E == E; // Nonlinear patterns require the same node.
+  if (const Binding *Bound = Out.find(Name))
+    return Bound->E == E; // Nonlinear patterns require the same node.
   const qual::VarPatternDecl *D = C.findDecl(Name);
   if (!D) {
     // The subject variable binds to anything of the subject's kind; its
     // type was checked before matching began.
-    Out[Name] = Binding{E, nullptr};
+    Out.bind(Name, E, nullptr);
     return true;
   }
   switch (D->Cls) {
@@ -176,14 +259,14 @@ bool QualChecker::bindVar(const Clause &C, const QualifierDef *Q,
   }
   if (E->Ty && !D->Ty.matches(E->Ty))
     return false;
-  Out[Name] = Binding{E, nullptr};
+  Out.bind(Name, E, nullptr);
   return true;
 }
 
 bool QualChecker::bindLValue(const Clause &C, const std::string &Name,
                              const LValue *LV, Bindings &Out) {
-  if (Out.count(Name))
-    return Out[Name].LV == LV;
+  if (const Binding *Bound = Out.find(Name))
+    return Bound->LV == LV;
   const qual::VarPatternDecl *D = C.findDecl(Name);
   if (!D)
     return false;
@@ -193,7 +276,7 @@ bool QualChecker::bindLValue(const Clause &C, const std::string &Name,
     return false;
   if (LV->Ty && !D->Ty.matches(LV->Ty))
     return false;
-  Out[Name] = Binding{nullptr, LV};
+  Out.bind(Name, nullptr, LV);
   return true;
 }
 
@@ -202,7 +285,7 @@ bool QualChecker::matchExprPattern(const Clause &C, const QualifierDef *Q,
   const ExprPattern &P = C.Pattern;
   // Bind the subject first so `case E of E` (tainted) matches anything.
   if (Q)
-    Out[Q->SubjectVar] = Binding{E, nullptr};
+    Out.bind(Q->SubjectVar, E, nullptr);
   switch (P.K) {
   case ExprPattern::Kind::Var:
     return bindVar(C, Q, P.X, E, Out);
@@ -273,10 +356,10 @@ bool QualChecker::evalPred(const Pred &P, const Bindings &B) {
   case Pred::Kind::Or:
     return evalPred(*P.LHS, B) || evalPred(*P.RHS, B);
   case Pred::Kind::QualCheck: {
-    auto Found = B.find(P.Var);
-    if (Found == B.end() || !Found->second.E)
+    const Binding *Found = B.find(P.Var);
+    if (!Found || !Found->E)
       return false;
-    return hasQualifier(Found->second.E, P.Qual);
+    return hasQualifier(Found->E, P.Qual);
   }
   case Pred::Kind::Compare: {
     auto Eval = [&](const Pred::Term &T) -> TermValue {
@@ -291,13 +374,13 @@ bool QualChecker::evalPred(const Pred &P, const Bindings &B) {
         V.Valid = true;
         return V;
       case Pred::Term::Kind::Var: {
-        auto Found = B.find(T.Var);
-        if (Found == B.end() || !Found->second.E)
+        const Binding *Found = B.find(T.Var);
+        if (!Found || !Found->E)
           return V;
-        if (const auto *IC = dyn_cast<IntConstExpr>(Found->second.E)) {
+        if (const auto *IC = dyn_cast<IntConstExpr>(Found->E)) {
           V.Int = IC->Value;
           V.Valid = true;
-        } else if (isa<NullConstExpr>(Found->second.E)) {
+        } else if (isa<NullConstExpr>(Found->E)) {
           V.IsNull = true;
           V.Valid = true;
         }
@@ -342,26 +425,17 @@ bool QualChecker::evalPred(const Pred &P, const Bindings &B) {
 // Assignments
 //===----------------------------------------------------------------------===//
 
-std::vector<const QualifierDef *>
-QualChecker::refQualsOn(const TypePtr &Ty) const {
-  std::vector<const QualifierDef *> Out;
-  for (const std::string &Name : Ty->quals())
-    if (const QualifierDef *Q = Quals.find(Name))
-      if (Q->IsRef)
-        Out.push_back(Q);
-  return Out;
-}
-
 void QualChecker::checkAssignmentTo(const TypePtr &DstTy, const Expr *RHS,
-                                    SourceLoc Loc, const std::string &What,
+                                    SourceLoc Loc, const AssignSite &What,
                                     const VarDecl *TargetVar) {
-  for (const QualifierDef *Q : refQualsOn(DstTy))
+  forEachRefQual(Quals, DstTy, [&](const QualifierDef *Q) {
     checkRefAssign(Q, RHS, Loc, What, TargetVar);
+  });
   checkValueQualFlow(DstTy, RHS, Loc, What, TargetVar);
 }
 
 void QualChecker::checkValueQualFlow(const TypePtr &DstTy, const Expr *RHS,
-                                     SourceLoc Loc, const std::string &What,
+                                     SourceLoc Loc, const AssignSite &What,
                                      const VarDecl *TargetVar) {
   TypePtr RHSTy = RHS->Ty;
   // Nested qualifier sets must agree exactly: there is no subtyping under
@@ -370,7 +444,7 @@ void QualChecker::checkValueQualFlow(const TypePtr &DstTy, const Expr *RHS,
       DstTy->isPointer() && !RHSTy->pointee()->isVoid() &&
       !DstTy->pointee()->isVoid() &&
       !Type::equals(RHSTy->pointee(), DstTy->pointee())) {
-    warn(Loc, "qualifier mismatch below pointer type in " + What +
+    warn(Loc, "qualifier mismatch below pointer type in " + What.str() +
                   ": cannot use '" + RHSTy->str() + "' as '" + DstTy->str() +
                   "' (no subtyping under pointers)");
     return;
@@ -385,13 +459,13 @@ void QualChecker::checkValueQualFlow(const TypePtr &DstTy, const Expr *RHS,
       Result.Failures.push_back(
           {QualFailure::Kind::Assign, Name, Loc, RHS, TargetVar});
       warn(Loc, "cannot derive qualifier '" + Name + "' for '" +
-                    printExpr(RHS) + "' in " + What);
+                    printExpr(RHS) + "' in " + What.str());
     }
   }
 }
 
 void QualChecker::checkRefAssign(const QualifierDef *Q, const Expr *RHS,
-                                 SourceLoc Loc, const std::string &What,
+                                 SourceLoc Loc, const AssignSite &What,
                                  const VarDecl *TargetVar) {
   ++Result.Stats.RefAssignChecks;
   // A cast to a Q-qualified type is an unchecked escape hatch, as with
@@ -412,7 +486,7 @@ void QualChecker::checkRefAssign(const QualifierDef *Q, const Expr *RHS,
   ++Result.Stats.RefAssignFailures;
   Result.Failures.push_back(
       {QualFailure::Kind::RefAssign, Q->Name, Loc, RHS, TargetVar});
-  warn(Loc, "assignment to '" + Q->Name + "' l-value in " + What +
+  warn(Loc, "assignment to '" + Q->Name + "' l-value in " + What.str() +
                 " does not match any assign rule of '" + Q->Name +
                 "' (rhs: " + printExpr(RHS) + ")");
 }
@@ -423,17 +497,18 @@ void QualChecker::checkRefAssign(const QualifierDef *Q, const Expr *RHS,
 
 void QualChecker::runRestrictClause(const QualifierDef *Q, const Clause &C,
                                     Bindings &B, SourceLoc Loc,
-                                    const std::string &SiteDesc) {
+                                    const Expr *Site, bool Deref) {
   ++Result.Stats.RestrictChecks;
   if (evalPred(C.Where, B))
     return;
   ++Result.Stats.RestrictFailures;
   const Expr *Offending = nullptr;
-  auto Bound = B.find(C.Pattern.X);
-  if (Bound != B.end())
-    Offending = Bound->second.E;
+  if (const Binding *Bound = B.find(C.Pattern.X))
+    Offending = Bound->E;
   Result.Failures.push_back(
       {QualFailure::Kind::Restrict, Q->Name, Loc, Offending, nullptr});
+  std::string SiteDesc = Deref ? "dereference of '" + printExpr(Site) + "'"
+                               : "'" + printExpr(Site) + "'";
   warn(Loc, "restrict rule of qualifier '" + Q->Name + "' violated at " +
                 SiteDesc + " (requires " + C.Where.str() + ")");
 }
@@ -447,8 +522,7 @@ void QualChecker::applyRestrictsToDeref(const LValue *LV) {
       Bindings B;
       if (!bindVar(C, /*Q=*/nullptr, C.Pattern.X, LV->Addr, B))
         continue;
-      runRestrictClause(&Q, C, B, LV->Loc,
-                        "dereference of '" + printExpr(LV->Addr) + "'");
+      runRestrictClause(&Q, C, B, LV->Loc, LV->Addr, /*Deref=*/true);
     }
   }
 }
@@ -461,7 +535,7 @@ void QualChecker::applyRestrictsToExpr(const Expr *E) {
       Bindings B;
       if (!matchExprPattern(C, /*Q=*/nullptr, E, B))
         continue;
-      runRestrictClause(&Q, C, B, E->Loc, "'" + printExpr(E) + "'");
+      runRestrictClause(&Q, C, B, E->Loc, E, /*Deref=*/false);
     }
   }
 }
@@ -471,8 +545,10 @@ void QualChecker::applyRestrictsToExpr(const Expr *E) {
 //===----------------------------------------------------------------------===//
 
 void QualChecker::recordCast(const CastExpr *Cast) {
-  if (!RecordedCasts.insert(Cast).second)
+  if (std::find(RecordedCasts.begin(), RecordedCasts.end(), Cast) !=
+      RecordedCasts.end())
     return;
+  RecordedCasts.push_back(Cast);
   std::vector<std::string> ValueQuals;
   bool HasRefQual = false;
   for (const std::string &Name : Cast->Target->quals()) {
@@ -528,18 +604,18 @@ void QualChecker::scanExpr(const Expr *E, bool InMemAddr) {
   case Expr::Kind::LValRead: {
     const auto *Read = cast<LValReadExpr>(E);
     if (!InMemAddr && Read->LV->Ty) {
-      for (const QualifierDef *Q : refQualsOn(Read->LV->Ty)) {
-        if (Q->DisallowRead) {
-          ++Result.Stats.DisallowFailures;
-          Result.Failures.push_back({QualFailure::Kind::Disallow, Q->Name,
-                                     E->Loc, E,
-                                     Read->LV->isBareVar() ? Read->LV->Var
-                                                           : nullptr});
-          warn(E->Loc, "'" + printLValue(Read->LV) + "' has qualifier '" +
-                           Q->Name +
-                           "' and may not be referred to (disallow rule)");
-        }
-      }
+      forEachRefQual(Quals, Read->LV->Ty, [&](const QualifierDef *Q) {
+        if (!Q->DisallowRead)
+          return;
+        ++Result.Stats.DisallowFailures;
+        Result.Failures.push_back({QualFailure::Kind::Disallow, Q->Name,
+                                   E->Loc, E,
+                                   Read->LV->isBareVar() ? Read->LV->Var
+                                                         : nullptr});
+        warn(E->Loc, "'" + printLValue(Read->LV) + "' has qualifier '" +
+                         Q->Name +
+                         "' and may not be referred to (disallow rule)");
+      });
     }
     scanLValue(Read->LV, /*IsWrite=*/false);
     break;
@@ -547,18 +623,17 @@ void QualChecker::scanExpr(const Expr *E, bool InMemAddr) {
   case Expr::Kind::AddrOf: {
     const auto *Addr = cast<AddrOfExpr>(E);
     if (Addr->LV->Ty) {
-      for (const QualifierDef *Q : refQualsOn(Addr->LV->Ty)) {
-        if (Q->DisallowAddrOf) {
-          ++Result.Stats.DisallowFailures;
-          Result.Failures.push_back({QualFailure::Kind::Disallow, Q->Name,
-                                     E->Loc, E,
-                                     Addr->LV->isBareVar() ? Addr->LV->Var
-                                                           : nullptr});
-          warn(E->Loc, "cannot take the address of '" +
-                           printLValue(Addr->LV) + "': qualifier '" +
-                           Q->Name + "' disallows it");
-        }
-      }
+      forEachRefQual(Quals, Addr->LV->Ty, [&](const QualifierDef *Q) {
+        if (!Q->DisallowAddrOf)
+          return;
+        ++Result.Stats.DisallowFailures;
+        Result.Failures.push_back({QualFailure::Kind::Disallow, Q->Name,
+                                   E->Loc, E,
+                                   Addr->LV->isBareVar() ? Addr->LV->Var
+                                                         : nullptr});
+        warn(E->Loc, "cannot take the address of '" + printLValue(Addr->LV) +
+                         "': qualifier '" + Q->Name + "' disallows it");
+      });
     }
     // Under '&' the deref exemption is revoked: &*p reproduces p's value,
     // which a disallow-read qualifier forbids.
@@ -603,11 +678,10 @@ void QualChecker::scanCall(const CallExpr *Call) {
       Callee->Params[0]->DeclaredTy->hasQual("untainted"))
     ++Result.Stats.FormatStringChecks;
   for (size_t I = 0; I < Call->Args.size() && I < Callee->Params.size(); ++I)
-    checkAssignmentTo(Callee->Params[I]->DeclaredTy, Call->Args[I],
-                      Call->Args[I]->Loc,
-                      "argument " + std::to_string(I + 1) + " of call to '" +
-                          Callee->Name + "'",
-                      Callee->Params[I]);
+    checkAssignmentTo(
+        Callee->Params[I]->DeclaredTy, Call->Args[I], Call->Args[I]->Loc,
+        AssignSite{AssignSite::Kind::Argument, &Callee->Name, nullptr, I + 1},
+        Callee->Params[I]);
 }
 
 void QualChecker::checkStmt(Stmt *S) {
@@ -630,7 +704,7 @@ void QualChecker::checkStmt(Stmt *S) {
       scanExpr(Var->Init, false);
     }
     checkAssignmentTo(Var->DeclaredTy, Var->Init, Var->Loc,
-                      "initialization of '" + Var->Name + "'", Var);
+                      AssignSite{AssignSite::Kind::Init, &Var->Name}, Var);
     return;
   }
   case Stmt::Kind::Assign: {
@@ -644,10 +718,10 @@ void QualChecker::checkStmt(Stmt *S) {
       scanExpr(Assign->RHS, false);
     }
     if (Assign->LHS->Ty)
-      checkAssignmentTo(Assign->LHS->Ty, Assign->RHS, Assign->Loc,
-                        "assignment to '" + printLValue(Assign->LHS) + "'",
-                        Assign->LHS->isBareVar() ? Assign->LHS->Var
-                                                 : nullptr);
+      checkAssignmentTo(
+          Assign->LHS->Ty, Assign->RHS, Assign->Loc,
+          AssignSite{AssignSite::Kind::Assign, nullptr, Assign->LHS},
+          Assign->LHS->isBareVar() ? Assign->LHS->Var : nullptr);
     return;
   }
   case Stmt::Kind::CallStmt:
@@ -705,7 +779,7 @@ void QualChecker::checkStmt(Stmt *S) {
     assert(CurrentFn && "return outside function");
     if (!CurrentFn->RetTy->isVoid())
       checkAssignmentTo(CurrentFn->RetTy, Ret->Value, Ret->Loc,
-                        "return from '" + CurrentFn->Name + "'");
+                        AssignSite{AssignSite::Kind::Return, &CurrentFn->Name});
     return;
   }
   case Stmt::Kind::Break:
@@ -1015,35 +1089,59 @@ void QualChecker::checkNarrowed(
 void QualChecker::checkFunction(FuncDecl *Fn) {
   trace::Span S("check.unit",
                 trace::Tracer::enabled() ? Fn->Name : std::string());
+  beginUnit();
   CurrentFn = Fn;
   checkStmt(Fn->Body);
   CurrentFn = nullptr;
 }
 
-CheckResult QualChecker::runGlobals() {
+void QualChecker::beginUnit() {
+  RecordedCasts.clear();
+  Memo.clear();
+}
+
+CheckResult QualChecker::takeResult() {
+  CheckResult Out = std::move(Result);
+  Result = CheckResult();
+  return Out;
+}
+
+void QualChecker::checkGlobals() {
   trace::Span S("check.unit", trace::Tracer::enabled() ? "<globals>"
                                                        : std::string());
-  for (VarDecl *G : Prog.Globals) {
+  beginUnit();
+  for (VarDecl *G : Prog->Globals) {
     if (!G->Init)
       continue;
     scanExpr(G->Init, false);
     checkAssignmentTo(G->DeclaredTy, G->Init, G->Loc,
-                      "initialization of global '" + G->Name + "'", G);
+                      AssignSite{AssignSite::Kind::GlobalInit, &G->Name}, G);
   }
-  return Result;
+}
+
+CheckResult QualChecker::runGlobals() {
+  checkGlobals();
+  return takeResult();
 }
 
 CheckResult QualChecker::runFunction(cminus::FuncDecl *Fn) {
   checkFunction(Fn);
-  return Result;
+  return takeResult();
+}
+
+CheckResult QualChecker::runUnit(cminus::Program &P, DiagnosticEngine &D,
+                                 cminus::FuncDecl *Fn) {
+  Prog = &P;
+  Diags = &D;
+  return Fn ? runFunction(Fn) : runGlobals();
 }
 
 CheckResult QualChecker::run() {
-  runGlobals();
-  for (FuncDecl *Fn : Prog.Functions)
+  checkGlobals();
+  for (FuncDecl *Fn : Prog->Functions)
     if (Fn->isDefinition())
       checkFunction(Fn);
-  return Result;
+  return takeResult();
 }
 
 //===----------------------------------------------------------------------===//

@@ -31,6 +31,8 @@
 #include "qual/QualAST.h"
 #include "support/Diagnostics.h"
 
+#include <array>
+#include <cassert>
 #include <map>
 #include <set>
 #include <string>
@@ -126,8 +128,11 @@ struct CheckResult {
   bool ok() const { return QualErrors == 0; }
 };
 
-/// The extensible typechecker. One instance per (program, qualifier set)
-/// pair; `run` may be called once.
+/// The extensible typechecker for one qualifier set and option set. Each
+/// run*() call checks units of the current program and moves their result
+/// out, so one instance can check any number of units in turn, and
+/// runUnit() can point it at another program: the sharded pipeline keeps
+/// one instance per runner and reuses its tables.
 class QualChecker {
 public:
   QualChecker(cminus::Program &Prog, const qual::QualifierSet &Quals,
@@ -143,6 +148,10 @@ public:
   /// distinct units of one program concurrently.
   CheckResult runGlobals();
   CheckResult runFunction(cminus::FuncDecl *Fn);
+  /// Checks one unit of \p Prog (\p Fn, or the global initializers when
+  /// \p Fn is null), reporting into \p Diags; later calls keep using them.
+  CheckResult runUnit(cminus::Program &Prog, DiagnosticEngine &Diags,
+                      cminus::FuncDecl *Fn);
 
   /// Can \p E be given qualifier \p Q? Uses the declared/static type and the
   /// qualifier's case clauses (recursively). Public so tests, the
@@ -153,10 +162,49 @@ public:
 private:
   /// One bound pattern variable: an expression or an l-value fragment.
   struct Binding {
+    const std::string *Name = nullptr;
     const cminus::Expr *E = nullptr;
     const cminus::LValue *LV = nullptr;
   };
-  using Bindings = std::map<std::string, Binding>;
+  /// The variables bound by one clause attempt. A pattern binds at most
+  /// three names (the subject, X and Y), so they live in a fixed array.
+  struct Bindings {
+    std::array<Binding, 3> Slots;
+    unsigned Size = 0;
+
+    const Binding *find(const std::string &Name) const {
+      for (unsigned I = 0; I < Size; ++I)
+        if (*Slots[I].Name == Name)
+          return &Slots[I];
+      return nullptr;
+    }
+    void bind(const std::string &Name, const cminus::Expr *E,
+              const cminus::LValue *LV) {
+      assert(Size < Slots.size() && "a pattern binds at most three names");
+      Slots[Size++] = Binding{&Name, E, LV};
+    }
+  };
+
+  /// Where an assignment check happens. The "in ..." text of a failed
+  /// check is rendered from it, so passing checks build no strings.
+  struct AssignSite {
+    enum class Kind { Init, GlobalInit, Assign, Return, Argument };
+    Kind K = Kind::Init;
+    /// The variable, function or callee name (not used by Kind::Assign).
+    const std::string *Name = nullptr;
+    /// Kind::Assign: the assigned l-value.
+    const cminus::LValue *Target = nullptr;
+    /// Kind::Argument: the 1-based argument position.
+    size_t Arg = 0;
+
+    std::string str() const;
+  };
+
+  /// Starts a unit: clears the per-unit state and invalidates the memo.
+  void beginUnit();
+  void checkGlobals();
+  /// Moves the accumulated result out, leaving an empty one.
+  CheckResult takeResult();
 
   void warn(SourceLoc Loc, const std::string &Message);
 
@@ -181,17 +229,17 @@ private:
   /// reference-qualifier assign rules. \p TargetVar is the destination
   /// variable when the target is a bare variable (for failure records).
   void checkAssignmentTo(const cminus::TypePtr &DstTy, const cminus::Expr *RHS,
-                         SourceLoc Loc, const std::string &What,
+                         SourceLoc Loc, const AssignSite &What,
                          const cminus::VarDecl *TargetVar = nullptr);
   /// Value-qualifier half of an assignment check.
   void checkValueQualFlow(const cminus::TypePtr &DstTy,
                           const cminus::Expr *RHS, SourceLoc Loc,
-                          const std::string &What,
+                          const AssignSite &What,
                           const cminus::VarDecl *TargetVar);
   /// Reference-qualifier half: RHS must satisfy some assign clause of \p Q,
   /// or be an unchecked cast to a Q-qualified type.
   void checkRefAssign(const qual::QualifierDef *Q, const cminus::Expr *RHS,
-                      SourceLoc Loc, const std::string &What,
+                      SourceLoc Loc, const AssignSite &What,
                       const cminus::VarDecl *TargetVar);
 
   // Pattern matching.
@@ -212,13 +260,11 @@ private:
   // Restrict / disallow.
   void applyRestrictsToDeref(const cminus::LValue *LV);
   void applyRestrictsToExpr(const cminus::Expr *E);
+  /// \p Site is the matched expression; for a dereference restrict it is
+  /// the dereferenced address (\p Deref).
   void runRestrictClause(const qual::QualifierDef *Q, const qual::Clause &C,
-                         Bindings &B, SourceLoc Loc,
-                         const std::string &SiteDesc);
-  /// Reference qualifiers with DisallowRead/DisallowAddrOf present on
-  /// \p Ty; returns their definitions.
-  std::vector<const qual::QualifierDef *>
-  refQualsOn(const cminus::TypePtr &Ty) const;
+                         Bindings &B, SourceLoc Loc, const cminus::Expr *Site,
+                         bool Deref);
 
   void recordCast(const cminus::CastExpr *Cast);
 
@@ -242,22 +288,46 @@ private:
   static void collectAssignedVars(const cminus::Stmt *S,
                                   std::set<const cminus::VarDecl *> &Out);
 
-  cminus::Program &Prog;
+  cminus::Program *Prog;
   const qual::QualifierSet &Quals;
-  DiagnosticEngine &Diags;
+  DiagnosticEngine *Diags;
   CheckerOptions Options;
   CheckResult Result;
   cminus::FuncDecl *CurrentFn = nullptr;
 
   // hasQualifier machinery.
-  using QueryKey = std::pair<unsigned, const qual::QualifierDef *>;
-  std::map<QueryKey, bool> Memo;
-  std::set<QueryKey> InProgress;
+  /// The hasQualifier memo: an open-addressing table over (Expr::Id,
+  /// qualifier index) that allocates only when it grows. An entry is live
+  /// when its stamp equals the current generation, so clear() is O(1).
+  class MemoTable {
+  public:
+    /// The memoized verdict, or null.
+    const bool *find(unsigned Id, unsigned Qual) const;
+    void insert(unsigned Id, unsigned Qual, bool Derivable);
+    void clear();
+
+  private:
+    struct Entry {
+      uint32_t Stamp = 0;
+      unsigned Id = 0;
+      unsigned Qual = 0;
+      bool Derivable = false;
+    };
+    size_t home(unsigned Id, unsigned Qual) const;
+
+    std::vector<Entry> Table;
+    size_t Live = 0;
+    uint32_t Generation = 1;
+  };
+  MemoTable Memo;
+  /// The (Expr::Id, qualifier) queries being derived, innermost last.
+  std::vector<std::pair<unsigned, const qual::QualifierDef *>> InProgress;
   /// True while the current derivation has consulted an in-progress query;
   /// such results are not memoized (they are valid only in context).
   bool TouchedInProgress = false;
-  /// Casts already recorded (a cast expression is scanned once).
-  std::set<const cminus::CastExpr *> RecordedCasts;
+  /// Casts already recorded in this unit (a cast expression is scanned
+  /// once).
+  std::vector<const cminus::CastExpr *> RecordedCasts;
   /// Active flow-sensitive narrowings: variable -> qualifier names.
   std::map<const cminus::VarDecl *, std::set<std::string>> Narrowed;
 };

@@ -6,6 +6,7 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 using namespace stq;
@@ -532,14 +533,18 @@ RecheckResult Engine::recheck(const std::string &Unit, cminus::Program &Prog,
     CheckResult Result;
   };
   std::vector<MissRun> Runs(Miss.size());
+  std::vector<std::optional<QualChecker>> Checkers(
+      parallelRunners(S.Jobs, Miss.size()));
   ThreadPool::PoolStats PoolStats;
   parallelFor(
       S.Jobs, Miss.size(),
-      [&](size_t J) {
+      [&](size_t J, unsigned Runner) {
         const size_t I = Miss[J];
-        QualChecker Checker(Prog, Quals, Runs[J].Diags, Options);
-        Runs[J].Result =
-            I == 0 ? Checker.runGlobals() : Checker.runFunction(Fns[I - 1]);
+        std::optional<QualChecker> &Checker = Checkers[Runner];
+        if (!Checker)
+          Checker.emplace(Prog, Quals, Runs[J].Diags, Options);
+        Runs[J].Result = Checker->runUnit(Prog, Runs[J].Diags,
+                                          I == 0 ? nullptr : Fns[I - 1]);
       },
       &PoolStats, Pool);
   S.Executed = PoolStats.Executed;

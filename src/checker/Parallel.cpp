@@ -8,6 +8,10 @@
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
+#include <algorithm>
+#include <atomic>
+#include <optional>
+
 using namespace stq;
 using namespace stq::checker;
 
@@ -44,6 +48,84 @@ void mergeResult(CheckResult &Into, CheckResult &From) {
 
 } // namespace
 
+CheckResult stq::checker::checkProgramsParallel(
+    const std::vector<cminus::Program *> &Progs,
+    const qual::QualifierSet &Quals, const UnitDiagnosticsSink &Report,
+    CheckerOptions Options, unsigned Jobs, ParallelStats *StatsOut,
+    ThreadPool *Pool) {
+  trace::Span Span("qualcheck");
+  // Every unit of every program, in merge order; Fn is null for a
+  // program's global initializers.
+  struct Unit {
+    size_t Prog = 0;
+    cminus::FuncDecl *Fn = nullptr;
+    std::vector<Diagnostic> Diags;
+    CheckResult Result;
+    std::atomic<bool> Done{false};
+  };
+  size_t Count = 0;
+  for (cminus::Program *Prog : Progs)
+    Count += 1 + std::count_if(
+                     Prog->Functions.begin(), Prog->Functions.end(),
+                     [](cminus::FuncDecl *Fn) { return Fn->isDefinition(); });
+  std::vector<Unit> Units(Count);
+  size_t At = 0;
+  for (size_t P = 0; P < Progs.size(); ++P) {
+    Units[At++].Prog = P;
+    for (cminus::FuncDecl *Fn : Progs[P]->Functions)
+      if (Fn->isDefinition()) {
+        Units[At].Prog = P;
+        Units[At++].Fn = Fn;
+      }
+  }
+
+  // Merges every finished unit from Committed on, in order. Only the
+  // calling thread (runner 0) commits.
+  CheckResult Merged;
+  size_t Committed = 0;
+  auto commit = [&] {
+    for (; Committed < Units.size() &&
+           Units[Committed].Done.load(std::memory_order_acquire);
+         ++Committed) {
+      Unit &U = Units[Committed];
+      Report(U.Prog, std::move(U.Diags));
+      mergeResult(Merged, U.Result);
+      U.Result = CheckResult();
+    }
+  };
+
+  const unsigned Runners = parallelRunners(Jobs, Units.size());
+  std::vector<DiagnosticEngine> RunnerDiags(Runners);
+  std::vector<std::optional<QualChecker>> Checkers(Runners);
+  ThreadPool::PoolStats PoolStats;
+  parallelFor(
+      Jobs, Units.size(),
+      [&](size_t I, unsigned Runner) {
+        Unit &U = Units[I];
+        cminus::Program &Prog = *Progs[U.Prog];
+        DiagnosticEngine &Diags = RunnerDiags[Runner];
+        std::optional<QualChecker> &Checker = Checkers[Runner];
+        if (!Checker)
+          Checker.emplace(Prog, Quals, Diags, Options);
+        U.Result = Checker->runUnit(Prog, Diags, U.Fn);
+        U.Diags = Diags.takeDiagnostics();
+        U.Done.store(true, std::memory_order_release);
+        if (Runner == 0)
+          commit();
+      },
+      &PoolStats, Pool);
+  commit();
+
+  if (StatsOut) {
+    *StatsOut = {};
+    StatsOut->Units = static_cast<unsigned>(Units.size());
+    StatsOut->Jobs = Jobs == 0 ? 1 : Jobs;
+    StatsOut->Executed = PoolStats.Executed;
+    StatsOut->Steals = PoolStats.Steals;
+  }
+  return Merged;
+}
+
 CheckResult stq::checker::checkProgramParallel(cminus::Program &Prog,
                                                const qual::QualifierSet &Quals,
                                                DiagnosticEngine &Diags,
@@ -51,54 +133,12 @@ CheckResult stq::checker::checkProgramParallel(cminus::Program &Prog,
                                                unsigned Jobs,
                                                ParallelStats *StatsOut,
                                                ThreadPool *Pool) {
-  trace::Span Span("qualcheck");
-  std::vector<cminus::FuncDecl *> Fns;
-  for (cminus::FuncDecl *Fn : Prog.Functions)
-    if (Fn->isDefinition())
-      Fns.push_back(Fn);
-  const size_t Units = Fns.size() + 1; // Unit 0 is the global initializers.
-
-  if (StatsOut) {
-    *StatsOut = {};
-    StatsOut->Units = static_cast<unsigned>(Units);
-    StatsOut->Jobs = Jobs == 0 ? 1 : Jobs;
-  }
-
-  if (Jobs <= 1) {
-    // The sequential baseline: one checker, reporting straight into Diags.
-    QualChecker Checker(Prog, Quals, Diags, Options);
-    CheckResult Result = Checker.run();
-    if (StatsOut)
-      StatsOut->Executed = Units;
-    return Result;
-  }
-
-  struct UnitRun {
-    DiagnosticEngine Diags;
-    CheckResult Result;
+  auto Report = [&Diags](size_t, std::vector<Diagnostic> Unit) {
+    for (Diagnostic &D : Unit)
+      Diags.report(std::move(D));
   };
-  std::vector<UnitRun> Runs(Units);
-  ThreadPool::PoolStats PoolStats;
-  parallelFor(Jobs, Units, [&](size_t I) {
-    QualChecker Checker(Prog, Quals, Runs[I].Diags, Options);
-    Runs[I].Result =
-        I == 0 ? Checker.runGlobals() : Checker.runFunction(Fns[I - 1]);
-  }, &PoolStats, Pool);
-
-  // Merge in unit order: globals first, then functions as declared. This
-  // reproduces the sequential checker's diagnostic order exactly, so any
-  // job count produces byte-identical output.
-  CheckResult Merged;
-  for (UnitRun &Run : Runs) {
-    for (const Diagnostic &D : Run.Diags.diagnostics())
-      Diags.report(D);
-    mergeResult(Merged, Run.Result);
-  }
-  if (StatsOut) {
-    StatsOut->Executed = PoolStats.Executed;
-    StatsOut->Steals = PoolStats.Steals;
-  }
-  return Merged;
+  return checkProgramsParallel({&Prog}, Quals, Report, Options, Jobs,
+                               StatsOut, Pool);
 }
 
 CheckResult stq::checker::checkSourceParallel(

@@ -6,23 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parallel checking pipeline (`stqc check --jobs N`). The program is
+/// The parallel checking pipeline (`stqc check --jobs N`). A program is
 /// split into units — the global initializers plus one unit per function
-/// definition — and the units are checked by independent QualChecker
-/// instances on a work-stealing pool. The checker only reads the lowered
-/// AST, so units share the program without synchronization; each unit
-/// collects diagnostics into a private engine.
+/// definition — and the units of every program in a check go through one
+/// parallelFor as one task graph. Each runner reuses one QualChecker for
+/// all the units it takes; the checker only reads the lowered AST, so
+/// units share their program without synchronization. Each runner reports
+/// into its own engine, and each unit's diagnostics move out of it into
+/// the unit's slot.
 ///
-/// Determinism: unit results are merged in program order (globals first,
-/// then functions as declared), which reproduces the sequential checker's
-/// diagnostic and runtime-check order exactly. `--jobs N` must be
-/// byte-identical to `--jobs 1`; the differential test enforces this.
-///
-/// The only observable difference from a single sequential QualChecker is
-/// the memoization counters: the hasQualifier memo is per-instance, so a
-/// sharded run re-derives queries a sequential run would have memo-hit
-/// across function boundaries. Stats.MemoHits may therefore differ;
-/// diagnostics and failures may not.
+/// Determinism: unit results are merged per program, in program order
+/// (globals first, then functions as declared), which reproduces the
+/// sequential checker's diagnostic and runtime-check order exactly.
+/// `--jobs N` must be byte-identical to `--jobs 1`; the differential test
+/// enforces this. The hasQualifier memo starts empty in every unit, and a
+/// unit's queries only reach its own expressions, so even the memo
+/// counters are the same at every job count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +29,8 @@
 #define STQ_CHECKER_PARALLEL_H
 
 #include "checker/Checker.h"
+
+#include <functional>
 
 namespace stq {
 class ThreadPool;
@@ -41,18 +42,34 @@ namespace stq::checker {
 struct ParallelStats {
   /// Shardable units: 1 (globals) + function definitions.
   unsigned Units = 0;
-  /// Worker threads used.
+  /// The job count asked for.
   unsigned Jobs = 0;
-  /// Tasks executed / stolen on the pool (0 stolen when Jobs <= 1).
+  /// Units checked, and how many of them a helper runner rather than the
+  /// calling thread checked (0 when Jobs <= 1).
   uint64_t Executed = 0;
   uint64_t Steals = 0;
 };
 
-/// Checks \p Prog with \p Jobs workers. Jobs <= 1 runs the plain
-/// sequential checker on \p Diags; otherwise units run concurrently and
-/// their diagnostics are merged into \p Diags in program order. When
-/// \p Pool is given, units fan out on it (as a task group) instead of a
-/// per-call pool, so concurrent callers share workers.
+/// Receives the diagnostics of one unit of program \p Prog.
+using UnitDiagnosticsSink =
+    std::function<void(size_t Prog, std::vector<Diagnostic> Diags)>;
+
+/// Checks every program in \p Progs with \p Jobs runners, all units in
+/// one parallelFor. Every unit's diagnostics go to \p Report on the
+/// calling thread, in merge order: program by program, and within a
+/// program globals first, then functions as declared. The result sums all
+/// units, its record lists in the same order. The caller merges each
+/// finished prefix of units between its own units, so the merge overlaps
+/// the check and only units that finished out of order wait in memory.
+/// Helpers run on \p Pool when given (stqd's shared pool), and otherwise
+/// on the process pool.
+CheckResult checkProgramsParallel(
+    const std::vector<cminus::Program *> &Progs,
+    const qual::QualifierSet &Quals, const UnitDiagnosticsSink &Report,
+    CheckerOptions Options = {}, unsigned Jobs = 1,
+    ParallelStats *StatsOut = nullptr, ThreadPool *Pool = nullptr);
+
+/// checkProgramsParallel for one program, reporting into \p Diags.
 CheckResult checkProgramParallel(cminus::Program &Prog,
                                  const qual::QualifierSet &Quals,
                                  DiagnosticEngine &Diags,

@@ -164,14 +164,6 @@ void mergeCheckerStats(checker::CheckerStats &A, const checker::CheckerStats &B)
   A.FormatStringChecks += B.FormatStringChecks;
 }
 
-void mergePipelineStats(checker::ParallelStats &A,
-                        const checker::ParallelStats &B) {
-  A.Units += B.Units;
-  A.Jobs = std::max(A.Jobs, B.Jobs);
-  A.Executed += B.Executed;
-  A.Steals += B.Steals;
-}
-
 } // namespace
 
 frontend::CompileOptions Session::compileOptions() const {
@@ -184,9 +176,8 @@ frontend::CompileOptions Session::compileOptions() const {
   return CO;
 }
 
-void Session::reportUnitDiags(DiagnosticEngine &Unit,
+void Session::reportUnitDiags(std::vector<Diagnostic> Ds,
                               const frontend::TUnit &U) {
-  std::vector<Diagnostic> Ds = Unit.takeDiagnostics();
   frontend::remapDiagnostics(Ds, 0, U.Name, U.Pp.Map);
   for (Diagnostic &D : Ds)
     Diags.report(std::move(D));
@@ -220,7 +211,7 @@ Session::load(const std::vector<frontend::InputFile> &Inputs) {
   pp::PpStats Pp;
   for (size_t I = 0; I < N; ++I) {
     const frontend::TUnit &U = Out.Units[I];
-    reportUnitDiags(UnitDiags[I], U);
+    reportUnitDiags(UnitDiags[I].takeDiagnostics(), U);
     Out.FrontEndOk = Out.FrontEndOk && U.FrontEndOk;
     Pp.Files += U.Pp.Stats.Files;
     Pp.Includes += U.Pp.Stats.Includes;
@@ -245,25 +236,19 @@ Session::checkFiles(const std::vector<frontend::InputFile> &Inputs) {
   if (!Out.Load.ok())
     return Out;
   {
+    // Every TU's units go through one task graph; each unit's diagnostics
+    // are remapped through its TU's line map as they merge, in input order.
     stats::ScopedTimer Timer(&Metrics, "phase.qualcheck_seconds");
-    for (const frontend::TUnit &U : Out.Load.Units) {
-      DiagnosticEngine UnitDiags;
-      checker::ParallelStats PS;
-      checker::CheckResult R = checker::checkProgramParallel(
-          *U.Program, *QualsView, UnitDiags, Opts.Checker, Opts.Jobs, &PS,
-          Opts.SharedPool);
-      reportUnitDiags(UnitDiags, U);
-      Out.Result.QualErrors += R.QualErrors;
-      mergeCheckerStats(Out.Result.Stats, R.Stats);
-      Out.Result.RuntimeChecks.insert(
-          Out.Result.RuntimeChecks.end(),
-          std::make_move_iterator(R.RuntimeChecks.begin()),
-          std::make_move_iterator(R.RuntimeChecks.end()));
-      Out.Result.Failures.insert(Out.Result.Failures.end(),
-                                 std::make_move_iterator(R.Failures.begin()),
-                                 std::make_move_iterator(R.Failures.end()));
-      mergePipelineStats(Out.Pipeline, PS);
-    }
+    const std::vector<frontend::TUnit> &Units = Out.Load.Units;
+    std::vector<cminus::Program *> Progs;
+    for (const frontend::TUnit &U : Units)
+      Progs.push_back(U.Program.get());
+    Out.Result = checker::checkProgramsParallel(
+        Progs, *QualsView,
+        [&](size_t I, std::vector<Diagnostic> Ds) {
+          reportUnitDiags(std::move(Ds), Units[I]);
+        },
+        Opts.Checker, Opts.Jobs, &Out.Pipeline, Opts.SharedPool);
   }
   publishCheckMetrics(true, Out.Result, Out.Pipeline);
   publishDiagMetrics();
@@ -295,7 +280,7 @@ Session::recheckFiles(const std::vector<frontend::InputFile> &Inputs) {
       checker::incremental::RecheckResult R =
           Engine.recheck(Unit, *U.Program, *QualsView, UnitDiags,
                          Opts.Checker, Opts.Jobs, &RS, Opts.SharedPool, &Seed);
-      reportUnitDiags(UnitDiags, U);
+      reportUnitDiags(UnitDiags.takeDiagnostics(), U);
       Out.Result.QualErrors += R.QualErrors;
       mergeCheckerStats(Out.Result.Stats, R.Stats);
       Out.Result.RuntimeCheckCount += R.RuntimeCheckCount;

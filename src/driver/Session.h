@@ -307,9 +307,9 @@ private:
                                             bool &Ok);
   /// The shared per-TU compile configuration for load().
   frontend::CompileOptions compileOptions() const;
-  /// Moves \p Unit's diagnostics out, remaps them through \p U's line map
-  /// and re-reports them into the session engine.
-  void reportUnitDiags(DiagnosticEngine &Unit, const frontend::TUnit &U);
+  /// Remaps a unit's diagnostics \p Ds through \p U's line map and
+  /// re-reports them into the session engine.
+  void reportUnitDiags(std::vector<Diagnostic> Ds, const frontend::TUnit &U);
   void publishCheckMetrics(bool FrontEndOk, const checker::CheckResult &Result,
                            const checker::ParallelStats &Pipeline);
   void publishRecheckMetrics(bool FrontEndOk,

@@ -6,7 +6,6 @@
 
 using namespace stq;
 using namespace stq::qual;
-using cminus::Type;
 using cminus::TypePtr;
 
 const char *stq::qual::classifierName(Classifier C) {
@@ -24,16 +23,17 @@ const char *stq::qual::classifierName(Classifier C) {
 }
 
 bool TypePattern::matches(const TypePtr &Ty) const {
-  TypePtr Bare = Type::withoutQuals(Ty);
+  // Only the shape is compared, so qualifiers are ignored at every level
+  // without building an unqualified copy of Ty.
   switch (K) {
   case Kind::Any:
     return true;
   case Kind::Int:
-    return Bare->isInt();
+    return Ty->isInt();
   case Kind::Char:
-    return Bare->isChar();
+    return Ty->isChar();
   case Kind::Pointer:
-    return Bare->isPointer() && Pointee->matches(Bare->pointee());
+    return Ty->isPointer() && Pointee->matches(Ty->pointee());
   }
   return false;
 }

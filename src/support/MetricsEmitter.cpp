@@ -107,14 +107,13 @@ void stq::metrics::writeChromeTrace(
 
 const std::vector<std::string> &
 stq::metrics::schedulingDependentCounterPrefixes() {
-  // pool.*: jobs/steals are the schedule itself. check.memo.*: the
-  // hasQualifier memo is per-checker-instance, so sharded runs re-derive
-  // queries a sequential run memo-hits across unit boundaries (Parallel.h).
-  // prover.cache.contended: shard-mutex collisions only exist with
-  // concurrent probes. incremental.*: hit/miss/eviction accounting depends
-  // on store history, not on the program being checked.
+  // pool.*: jobs/steals are the schedule itself. prover.cache.contended:
+  // shard-mutex collisions only exist with concurrent probes.
+  // incremental.*: hit/miss/eviction accounting depends on store history,
+  // not on the program being checked. (check.memo.* is not here: the memo
+  // starts empty in every unit at any job count; see checker/Parallel.h.)
   static const std::vector<std::string> Prefixes = {
-      "pool.", "check.memo.", "prover.cache.contended", "incremental."};
+      "pool.", "prover.cache.contended", "incremental."};
   return Prefixes;
 }
 

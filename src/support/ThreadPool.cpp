@@ -3,25 +3,17 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
+#include <memory>
 
 using namespace stq;
 
-ThreadPool::ThreadPool(unsigned Threads) {
-  if (Threads == 0)
-    Threads = 1;
-  Queues.reserve(Threads);
-  for (unsigned I = 0; I < Threads; ++I)
-    Queues.push_back(std::make_unique<WorkerQueue>());
-  Workers.reserve(Threads);
-  for (unsigned I = 0; I < Threads; ++I)
-    Workers.emplace_back([this, I] { workerLoop(I); });
-}
+ThreadPool::ThreadPool(unsigned Threads) { grow(std::max(Threads, 1u)); }
 
 ThreadPool::~ThreadPool() {
   wait();
   {
-    std::lock_guard<std::mutex> Lock(WakeM);
+    std::lock_guard<std::mutex> Lock(M);
     Stop = true;
   }
   WakeCv.notify_all();
@@ -29,89 +21,66 @@ ThreadPool::~ThreadPool() {
     W.join();
 }
 
+ThreadPool &ThreadPool::process() {
+  static ThreadPool Pool;
+  return Pool;
+}
+
 unsigned ThreadPool::defaultJobs() {
   unsigned N = std::thread::hardware_concurrency();
   return N == 0 ? 1 : N;
 }
 
+void ThreadPool::grow(unsigned Threads) {
+  std::lock_guard<std::mutex> Lock(M);
+  while (Workers.size() < Threads)
+    Workers.emplace_back([this] { workerLoop(); });
+}
+
+unsigned ThreadPool::threadCount() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return static_cast<unsigned>(Workers.size());
+}
+
 void ThreadPool::submit(std::function<void()> Task) {
-  unsigned Target = static_cast<unsigned>(
-      NextQueue.fetch_add(1, std::memory_order_relaxed) % Queues.size());
-  Pending.fetch_add(1, std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> Lock(Queues[Target]->M);
-    Queues[Target]->Q.push_back(std::move(Task));
+    std::lock_guard<std::mutex> Lock(M);
+    Queue.push_back(std::move(Task));
+    ++Pending;
   }
-  // A worker reads Pending and then sleeps while holding WakeM; taking it
-  // here orders this notify after that sleep begins, so it cannot be lost.
-  { std::lock_guard<std::mutex> Lock(WakeM); }
   WakeCv.notify_one();
 }
 
-std::function<void()> ThreadPool::takeTask(unsigned Self) {
-  // Own deque first, newest task first: the task most likely to have a hot
-  // working set.
-  {
-    WorkerQueue &Mine = *Queues[Self];
-    std::lock_guard<std::mutex> Lock(Mine.M);
-    if (!Mine.Q.empty()) {
-      std::function<void()> T = std::move(Mine.Q.back());
-      Mine.Q.pop_back();
-      return T;
-    }
-  }
-  // Steal oldest-first from the other workers, scanning from the next
-  // index so victims are spread evenly.
-  for (size_t Off = 1; Off < Queues.size(); ++Off) {
-    WorkerQueue &Victim = *Queues[(Self + Off) % Queues.size()];
-    std::lock_guard<std::mutex> Lock(Victim.M);
-    if (!Victim.Q.empty()) {
-      std::function<void()> T = std::move(Victim.Q.front());
-      Victim.Q.pop_front();
-      Steals.fetch_add(1, std::memory_order_relaxed);
-      return T;
-    }
-  }
-  return {};
-}
-
-void ThreadPool::workerLoop(unsigned Index) {
+void ThreadPool::workerLoop() {
+  std::unique_lock<std::mutex> Lock(M);
   for (;;) {
-    std::function<void()> Task = takeTask(Index);
-    if (Task) {
-      Task();
-      Executed.fetch_add(1, std::memory_order_relaxed);
-      if (Pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last task done; wake any wait()ers.
-        std::lock_guard<std::mutex> Lock(WakeM);
-        IdleCv.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> Lock(WakeM);
-    if (Stop)
-      return;
-    if (Pending.load(std::memory_order_acquire) == 0) {
-      WakeCv.wait(Lock);
-      continue;
-    }
-    // Work exists but another worker may hold it; re-scan after a brief
-    // wait rather than spinning.
-    WakeCv.wait_for(Lock, std::chrono::milliseconds(1));
+    // Queue and Stop change only under M, so a worker that finds the queue
+    // empty sleeps until a submit or the destructor wakes it; it never
+    // polls, and a wake-up cannot slip in between the test and the sleep.
+    WakeCv.wait(Lock, [this] { return Stop || !Queue.empty(); });
+    if (Queue.empty())
+      return; // Stop, and nothing left to run.
+    std::function<void()> Task = std::move(Queue.front());
+    Queue.pop_front();
+    Lock.unlock();
+    Task();
+    Task = nullptr; // Captures are destroyed outside the lock too.
+    Lock.lock();
+    ++Executed;
+    if (--Pending == 0)
+      IdleCv.notify_all();
   }
 }
 
 void ThreadPool::wait() {
-  std::unique_lock<std::mutex> Lock(WakeM);
-  IdleCv.wait(Lock, [this] {
-    return Pending.load(std::memory_order_acquire) == 0;
-  });
+  std::unique_lock<std::mutex> Lock(M);
+  IdleCv.wait(Lock, [this] { return Pending == 0; });
 }
 
 ThreadPool::PoolStats ThreadPool::stats() const {
+  std::lock_guard<std::mutex> Lock(M);
   PoolStats S;
-  S.Executed = Executed.load(std::memory_order_relaxed);
-  S.Steals = Steals.load(std::memory_order_relaxed);
+  S.Executed = Executed;
   return S;
 }
 
@@ -133,31 +102,96 @@ void TaskGroup::wait() {
   Cv.wait(Lock, [this] { return Outstanding == 0; });
 }
 
+namespace {
+
+/// The state one parallelFor call shares with its helpers. Helpers hold it
+/// by shared_ptr, so one that starts after the call returned still finds
+/// it alive; it then claims no index and never touches Fn.
+struct Batch {
+  Batch(const std::function<void(size_t, unsigned)> &Fn, size_t N)
+      : Fn(Fn), N(N) {}
+
+  const std::function<void(size_t, unsigned)> &Fn;
+  const size_t N;
+  std::atomic<size_t> Next{0};
+  std::atomic<size_t> Done{0};
+  std::atomic<uint64_t> HelperRan{0};
+  std::mutex M;
+  std::condition_variable Cv; ///< Signals "Done reached N".
+
+  /// Runs indices until none is left to claim; returns how many it ran.
+  size_t run(unsigned Runner) {
+    size_t Ran = 0;
+    for (size_t I = Next.fetch_add(1, std::memory_order_relaxed); I < N;
+         I = Next.fetch_add(1, std::memory_order_relaxed)) {
+      Fn(I, Runner);
+      ++Ran;
+    }
+    return Ran;
+  }
+
+  /// Records \p Ran finished indices; the runner that finishes the last
+  /// one wakes the caller. Returns true when every index has finished.
+  bool finish(size_t Ran) {
+    if (Done.fetch_add(Ran, std::memory_order_acq_rel) + Ran != N)
+      return false;
+    // Taking M orders this notify after the caller's predicate test.
+    { std::lock_guard<std::mutex> Lock(M); }
+    Cv.notify_one();
+    return true;
+  }
+};
+
+} // namespace
+
+unsigned stq::parallelRunners(unsigned Jobs, size_t N) {
+  return static_cast<unsigned>(
+      std::max<size_t>(1, std::min<size_t>(std::max(Jobs, 1u), N)));
+}
+
 void stq::parallelFor(unsigned Jobs, size_t N,
-                      const std::function<void(size_t)> &Fn,
+                      const std::function<void(size_t, unsigned)> &Fn,
                       ThreadPool::PoolStats *StatsOut, ThreadPool *Shared) {
   if (StatsOut)
     *StatsOut = {};
-  if (Jobs <= 1 || N <= 1) {
+  unsigned Helpers = parallelRunners(Jobs, N) - 1;
+  if (Shared)
+    Helpers = std::min(Helpers, Shared->threadCount());
+  if (Helpers == 0) {
     for (size_t I = 0; I < N; ++I)
-      Fn(I);
+      Fn(I, 0);
     if (StatsOut)
       StatsOut->Executed = N;
     return;
   }
-  if (Shared) {
-    TaskGroup Group(*Shared);
-    for (size_t I = 0; I < N; ++I)
-      Group.submit([&Fn, I] { Fn(I); });
-    Group.wait();
-    if (StatsOut)
-      StatsOut->Executed = N; // Steals are pool-wide, not per-group.
-    return;
+
+  ThreadPool &Pool = Shared ? *Shared : ThreadPool::process();
+  if (!Shared)
+    Pool.grow(Helpers);
+  auto B = std::make_shared<Batch>(Fn, N);
+  for (unsigned R = 1; R <= Helpers; ++R)
+    Pool.submit([B, R] {
+      size_t Ran = B->run(R);
+      if (Ran == 0)
+        return;
+      B->HelperRan.fetch_add(Ran, std::memory_order_relaxed);
+      B->finish(Ran);
+    });
+  if (!B->finish(B->run(0))) {
+    std::unique_lock<std::mutex> Lock(B->M);
+    B->Cv.wait(Lock, [&] {
+      return B->Done.load(std::memory_order_acquire) == N;
+    });
   }
-  ThreadPool Pool(static_cast<unsigned>(std::min<size_t>(Jobs, N)));
-  for (size_t I = 0; I < N; ++I)
-    Pool.submit([&Fn, I] { Fn(I); });
-  Pool.wait();
-  if (StatsOut)
-    *StatsOut = Pool.stats();
+  if (StatsOut) {
+    StatsOut->Executed = N;
+    StatsOut->Steals = B->HelperRan.load(std::memory_order_relaxed);
+  }
+}
+
+void stq::parallelFor(unsigned Jobs, size_t N,
+                      const std::function<void(size_t)> &Fn,
+                      ThreadPool::PoolStats *StatsOut, ThreadPool *Shared) {
+  parallelFor(
+      Jobs, N, [&Fn](size_t I, unsigned) { Fn(I); }, StatsOut, Shared);
 }

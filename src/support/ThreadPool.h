@@ -1,4 +1,4 @@
-//===- ThreadPool.h - Work-stealing thread pool -----------------*- C++ -*-===//
+//===- ThreadPool.h - Thread pool and parallel loops ------------*- C++ -*-===//
 //
 // Part of the stq project: a reproduction of "Semantic Type Qualifiers"
 // (Chin, Markstrum, Millstein; PLDI 2005).
@@ -6,28 +6,35 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool shared by the parallel checking
-/// pipeline: the qualifier checker shards functions across it and the
-/// soundness checker fans proof obligations out over it. Each worker owns a
-/// deque; it pops its own work LIFO (cache-friendly) and steals FIFO from
-/// victims when idle. Tasks may submit further tasks.
+/// The thread pool behind the parallel pipeline, and `parallelFor`, the
+/// loop every fan-out (front end, checker, soundness obligations,
+/// inference) goes through.
 ///
-/// Determinism contract: the pool schedules tasks in an arbitrary order, so
-/// callers that need reproducible output (diagnostics!) must write results
-/// into preassigned slots and merge them in task-index order after wait().
-/// `parallelFor` does exactly that.
+/// `parallelFor` runs on one process-wide pool (`ThreadPool::process()`)
+/// that is created empty, grows to the number of helpers a call actually
+/// uses, and is reused by every later call, or on a long-lived pool the
+/// caller passes (stqd's). A call with Jobs runners submits
+/// min(Jobs, N) - 1 helper runners; they and the calling thread pull loop
+/// indices from one atomic counter, and the caller returns once every
+/// index has run. Because the caller works through the indices itself, a
+/// call made from inside a pool task completes even when every worker is
+/// busy, and a helper that only starts after the last index was claimed
+/// exits without touching the caller's frame.
+///
+/// Determinism contract: indices run in an arbitrary order on arbitrary
+/// runners, so callers that need reproducible output (diagnostics!) write
+/// results into per-index slots and merge them in index order afterwards.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef STQ_SUPPORT_THREADPOOL_H
 #define STQ_SUPPORT_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -36,11 +43,13 @@ namespace stq {
 
 class ThreadPool {
 public:
-  /// Counters describing one pool's lifetime, for `stqc --metrics` and the
-  /// scaling benchmark.
+  /// Counters of one pool's lifetime (stats()) or of one parallelFor call.
   struct PoolStats {
-    uint64_t Executed = 0; ///< Tasks run to completion.
-    uint64_t Steals = 0;   ///< Tasks taken from another worker's deque.
+    /// Tasks run to completion; for parallelFor, loop indices run.
+    uint64_t Executed = 0;
+    /// parallelFor only: indices run by a helper runner rather than the
+    /// calling thread.
+    uint64_t Steals = 0;
   };
 
   /// Spawns \p Threads workers (at least one).
@@ -50,6 +59,11 @@ public:
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
+  /// The process-wide pool parallelFor uses when no pool is passed. It
+  /// starts without workers and grows on demand; its workers live until
+  /// the process exits.
+  static ThreadPool &process();
+
   /// Enqueues \p Task. Tasks must not throw; exceptions terminate.
   void submit(std::function<void()> Task);
 
@@ -57,7 +71,10 @@ public:
   /// tasks) has finished.
   void wait();
 
-  unsigned threadCount() const { return static_cast<unsigned>(Workers.size()); }
+  /// Spawns workers until the pool has at least \p Threads.
+  void grow(unsigned Threads);
+
+  unsigned threadCount() const;
   PoolStats stats() const;
 
   /// The job count to use when the user passes no --jobs: the hardware
@@ -65,37 +82,31 @@ public:
   static unsigned defaultJobs();
 
 private:
-  struct WorkerQueue {
-    std::mutex M;
-    std::deque<std::function<void()>> Q;
-  };
+  ThreadPool() = default;
 
-  void workerLoop(unsigned Index);
-  /// Pops from the worker's own deque (back) or steals from a victim's
-  /// (front). Returns an empty function when no work is available.
-  std::function<void()> takeTask(unsigned Self);
+  void workerLoop();
 
-  std::vector<std::unique_ptr<WorkerQueue>> Queues;
+  mutable std::mutex M;
+  /// Signals "a task was queued, or Stop was set". Idle workers sleep on
+  /// it until then, whatever the running tasks are doing.
+  std::condition_variable WakeCv;
+  /// Signals "Pending reached zero".
+  std::condition_variable IdleCv;
+  std::deque<std::function<void()>> Queue;
   std::vector<std::thread> Workers;
-
-  std::mutex WakeM;
-  std::condition_variable WakeCv;  ///< Signals "new work or shutdown".
-  std::condition_variable IdleCv;  ///< Signals "Pending may have hit zero".
+  /// Queued plus running tasks.
+  uint64_t Pending = 0;
+  uint64_t Executed = 0;
   bool Stop = false;
-
-  std::atomic<uint64_t> Pending{0};  ///< Submitted but not yet completed.
-  std::atomic<uint64_t> NextQueue{0}; ///< Round-robin submission cursor.
-  std::atomic<uint64_t> Executed{0};
-  std::atomic<uint64_t> Steals{0};
 };
 
 /// A completion scope over a shared ThreadPool: tracks only the tasks
-/// submitted through it, so several callers (the stqd request workers) can
-/// fan work into one process-wide pool and each wait for just their own
-/// batch. ThreadPool::wait() waits for *everything* pending, which under a
-/// server's sustained load may never drain; a TaskGroup's wait() cannot
-/// starve that way. Tasks submitted through a group must not wait on
-/// another group from inside the pool (no nested fan-out).
+/// submitted through it, so several callers can fan work into one pool and
+/// each wait for just their own batch. ThreadPool::wait() waits for
+/// *everything* pending, which under sustained load may never drain; a
+/// TaskGroup's wait() cannot starve that way. Tasks submitted through a
+/// group must not wait on another group from inside the pool (no nested
+/// fan-out); parallelFor has no such restriction.
 class TaskGroup {
 public:
   explicit TaskGroup(ThreadPool &Pool) : Pool(Pool) {}
@@ -116,16 +127,25 @@ private:
   size_t Outstanding = 0;
 };
 
-/// Runs Fn(0) .. Fn(N-1) across \p Jobs workers and returns once all calls
-/// finished. Jobs <= 1 (or N <= 1) runs inline on the caller's thread,
-/// which is the deterministic sequential baseline. \p StatsOut, when
-/// non-null, receives the pool's counters.
+/// The number of runners (the caller plus helpers) parallelFor uses for
+/// \p N indices at \p Jobs: min(Jobs, N), and at least one.
+unsigned parallelRunners(unsigned Jobs, size_t N);
+
+/// Runs Fn(I, Runner) for every I in [0, N) and returns once all calls
+/// finished. Runner < parallelRunners(Jobs, N) names the runner making the
+/// call; one runner makes its calls one at a time, so per-runner state
+/// needs no locking. Runner 0 is the calling thread. With one runner
+/// (Jobs <= 1 or N <= 1) the calls run inline, in index order.
 ///
-/// When \p Shared is non-null the iterations are fanned into that
-/// long-lived pool through a TaskGroup instead of spawning a fresh pool:
-/// the stqd daemon shares one pool across all requests. Per-call Steals
-/// are not attributable on a shared pool and report as 0; Executed still
-/// reports N.
+/// Helpers run on \p Shared when it is given (stqd's long-lived pool,
+/// which is not grown), and otherwise on ThreadPool::process(). \p
+/// StatsOut, when non-null, receives this call's counters.
+void parallelFor(unsigned Jobs, size_t N,
+                 const std::function<void(size_t, unsigned)> &Fn,
+                 ThreadPool::PoolStats *StatsOut = nullptr,
+                 ThreadPool *Shared = nullptr);
+
+/// parallelFor for loops that keep no per-runner state.
 void parallelFor(unsigned Jobs, size_t N,
                  const std::function<void(size_t)> &Fn,
                  ThreadPool::PoolStats *StatsOut = nullptr,

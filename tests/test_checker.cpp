@@ -8,9 +8,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "checker/Checker.h"
+#include "driver/Session.h"
+#include "eval/PaperEval.h"
 #include "qual/Builtins.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace stq;
 using namespace stq::checker;
@@ -815,6 +820,140 @@ TEST(CheckerNonnull, DerefOfAddrOfNeedsNoNonnull) {
                  "int f() { int x = 3; return *&x; }\n");
   EXPECT_EQ(R->Result.QualErrors, 0u);
   EXPECT_EQ(R->Result.Stats.DerefSites, 0u);
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// Whole-program checks through Session::checkFiles
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The farm qualfile under which every check derives: pos and neg with a
+/// `+` rule.
+const char *CleanFarmQuals = R"(value qualifier pos(int Expr E)
+  case E of
+    decl int Const C:
+      C, where C > 0
+  | decl int Expr E1, E2:
+      E1 * E2, where pos(E1) && pos(E2)
+  | decl int Expr E1, E2:
+      E1 + E2, where pos(E1) && pos(E2)
+  | decl int Expr E1:
+      -E1, where neg(E1)
+  invariant value(E) > 0
+
+value qualifier neg(int Expr E)
+  case E of
+    decl int Const C:
+      C, where C < 0
+  | decl int Expr E1:
+      -E1, where pos(E1)
+  | decl int Expr E1, E2:
+      E1 * E2, where (pos(E1) && neg(E2)) || (neg(E1) && pos(E2))
+  invariant value(E) < 0
+)";
+
+/// A small multi-TU farm; seed 3 plants one warning.
+eval::ProgramSpec farmSpec() {
+  workloads::MultiTuProgram P = workloads::makeMultiTuFarm(6, 5, 3);
+  eval::ProgramSpec Spec;
+  Spec.Name = "farm";
+  Spec.IncludeDirs = {"."};
+  for (const auto &H : P.Headers)
+    Spec.Files[H.Name] = H.Text;
+  for (const auto &U : P.Units) {
+    Spec.Units.push_back(U.Name);
+    Spec.Files[U.Name] = U.Text;
+  }
+  return Spec;
+}
+
+/// Every program the memo and job-count contracts are checked over: the
+/// four §6 corpora under their qualfiles, and the farm under the clean
+/// qualfile and under builtin pos,neg (where most `+` checks warn).
+std::vector<std::pair<eval::ProgramSpec, SessionOptions>> contractPrograms() {
+  std::vector<std::pair<eval::ProgramSpec, SessionOptions>> Out;
+  for (const workloads::CorpusProgram &C : workloads::makeAllCorpora()) {
+    SessionOptions Opts;
+    Opts.QualSources = {C.QualFile};
+    Out.emplace_back(eval::specFromCorpus(C), Opts);
+  }
+  SessionOptions Clean;
+  Clean.QualSources = {CleanFarmQuals};
+  Out.emplace_back(farmSpec(), Clean);
+  SessionOptions Builtin;
+  Builtin.Builtins = {"pos", "neg"};
+  Out.emplace_back(farmSpec(), Builtin);
+  Out.back().first.Name = "farm pos,neg";
+  return Out;
+}
+
+struct FilesRun {
+  std::string Diags;
+  std::map<std::string, uint64_t> Counters;
+};
+
+FilesRun checkFiles(const eval::ProgramSpec &Spec, SessionOptions Opts) {
+  Opts.IncludeDirs = Spec.IncludeDirs;
+  Opts.ShippedFiles = &Spec.Files;
+  std::vector<frontend::InputFile> Inputs;
+  for (const std::string &Unit : Spec.Units)
+    Inputs.push_back({Unit, Spec.Files.at(Unit)});
+  Session S(Opts);
+  Session::CheckFilesOutcome Out = S.checkFiles(Inputs);
+  EXPECT_TRUE(Out.Load.ok()) << Spec.Name;
+  FilesRun Run;
+  for (const Diagnostic &D : S.diags().diagnostics())
+    Run.Diags += D.str() + "\n";
+  Run.Counters = S.metrics().snapshot().Counters;
+  return Run;
+}
+
+/// \p Counters without the entries whose name starts with \p Prefix.
+std::map<std::string, uint64_t>
+without(std::map<std::string, uint64_t> Counters, const std::string &Prefix) {
+  for (auto It = Counters.begin(); It != Counters.end();)
+    It = It->first.rfind(Prefix, 0) == 0 ? Counters.erase(It) : std::next(It);
+  return Counters;
+}
+
+TEST(CheckerMemo, SameDiagnosticsWithMemoOnAndOff) {
+  bool AnyWarnings = false;
+  for (auto &[Spec, Opts] : contractPrograms()) {
+    SessionOptions On = Opts, Off = Opts;
+    On.Checker.Memoize = true;
+    Off.Checker.Memoize = false;
+    FilesRun A = checkFiles(Spec, On), B = checkFiles(Spec, Off);
+    EXPECT_EQ(A.Diags, B.Diags) << Spec.Name;
+    EXPECT_EQ(without(A.Counters, "check.memo."),
+              without(B.Counters, "check.memo."))
+        << Spec.Name;
+    EXPECT_EQ(B.Counters.at("check.memo.hits"), 0u) << Spec.Name;
+    AnyWarnings = AnyWarnings || A.Counters.at("check.qual_errors") > 0;
+  }
+  EXPECT_TRUE(AnyWarnings);
+}
+
+TEST(CheckFiles, JobCountChangesOnlyPoolCounters) {
+  for (auto &[Spec, Opts] : contractPrograms()) {
+    SessionOptions Base = Opts;
+    Base.Jobs = 1;
+    FilesRun Sequential = checkFiles(Spec, Base);
+    EXPECT_GT(Sequential.Counters.at("check.units"), Spec.Units.size());
+    for (unsigned Jobs : {2u, 4u, 8u}) {
+      SessionOptions Parallel = Opts;
+      Parallel.Jobs = Jobs;
+      FilesRun Run = checkFiles(Spec, Parallel);
+      EXPECT_EQ(Sequential.Diags, Run.Diags) << Spec.Name << " jobs " << Jobs;
+      EXPECT_EQ(without(Sequential.Counters, "pool."),
+                without(Run.Counters, "pool."))
+          << Spec.Name << " jobs " << Jobs;
+      EXPECT_EQ(Run.Counters.at("pool.executed"),
+                Sequential.Counters.at("check.units"));
+    }
+  }
 }
 
 } // namespace

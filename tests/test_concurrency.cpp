@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -28,6 +29,78 @@
 using namespace stq;
 
 namespace {
+
+//===----------------------------------------------------------------------===//
+// parallelFor on the process pool
+//===----------------------------------------------------------------------===//
+
+// First in this file, so that run as one process the pool is still empty.
+TEST(ProcessPool, GrowsOnlyToTheHelpersACallUses) {
+  // A one-function TU is two units; at --jobs 4 that is one helper.
+  const unsigned Before = ThreadPool::process().threadCount();
+  std::atomic<unsigned> Ran{0};
+  parallelFor(4, 2, [&](size_t) { Ran.fetch_add(1); });
+  EXPECT_EQ(Ran.load(), 2u);
+  EXPECT_LE(ThreadPool::process().threadCount(), std::max(Before, 1u));
+  // Reused, not re-spawned: a second call adds no thread.
+  const unsigned After = ThreadPool::process().threadCount();
+  parallelFor(4, 2, [&](size_t) { Ran.fetch_add(1); });
+  EXPECT_EQ(ThreadPool::process().threadCount(), After);
+}
+
+TEST(ProcessPool, EveryIndexRunsExactlyOnce) {
+  for (unsigned Jobs : {1u, 2u, 4u, 8u}) {
+    for (size_t N : {size_t(0), size_t(1), size_t(2), size_t(Jobs),
+                     size_t(10000)}) {
+      std::vector<std::atomic<unsigned>> Hit(N);
+      // Per-runner counters are written without atomics: the contract is
+      // that one runner never runs two indices at once.
+      std::vector<size_t> PerRunner(parallelRunners(Jobs, N), 0);
+      ThreadPool::PoolStats Stats;
+      parallelFor(
+          Jobs, N,
+          [&](size_t I, unsigned Runner) {
+            Hit[I].fetch_add(1, std::memory_order_relaxed);
+            ASSERT_LT(Runner, PerRunner.size());
+            ++PerRunner[Runner];
+          },
+          &Stats);
+      for (size_t I = 0; I < N; ++I)
+        ASSERT_EQ(Hit[I].load(), 1u) << "jobs " << Jobs << " index " << I;
+      size_t Total = 0;
+      for (size_t C : PerRunner)
+        Total += C;
+      EXPECT_EQ(Total, N) << "jobs " << Jobs;
+      EXPECT_EQ(Stats.Executed, N);
+      EXPECT_EQ(Stats.Steals, N - PerRunner.at(0));
+    }
+  }
+}
+
+TEST(ProcessPool, NestedCallCompletesWhileEveryWorkerIsBusy) {
+  // Four outer runners (the caller and three helpers on a three-worker
+  // pool) each hold their first index until all four are inside, so every
+  // worker is busy when each of them starts a nested loop on the same
+  // pool. The nested helpers cannot start; the nested callers must finish
+  // their loops alone.
+  ThreadPool Pool(3);
+  std::atomic<unsigned> Inside{0};
+  std::vector<std::atomic<unsigned>> Hit(4 * 1000);
+  parallelFor(
+      4, 4,
+      [&](size_t Outer) {
+        Inside.fetch_add(1);
+        while (Inside.load() < 4)
+          std::this_thread::yield();
+        parallelFor(
+            4, 1000,
+            [&](size_t Inner) { Hit[Outer * 1000 + Inner].fetch_add(1); },
+            nullptr, &Pool);
+      },
+      nullptr, &Pool);
+  for (size_t I = 0; I < Hit.size(); ++I)
+    ASSERT_EQ(Hit[I].load(), 1u) << "index " << I;
+}
 
 //===----------------------------------------------------------------------===//
 // ThreadPool

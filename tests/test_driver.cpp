@@ -9,6 +9,8 @@
 #include "driver/OptionTable.h"
 #include "driver/Session.h"
 #include "qual/Builtins.h"
+#include "support/Trace.h"
+#include "workloads/Workloads.h"
 
 #include "TestTempDir.h"
 
@@ -16,6 +18,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 using namespace stq;
@@ -531,6 +534,37 @@ TEST(Session, CounterTotalsAreJobCountInvariant) {
   auto Parallel = counters(4);
   EXPECT_EQ(Sequential, Parallel);
   EXPECT_EQ(Sequential.at("check.qual_errors"), 6u);
+}
+
+// `stqc check --jobs 4 --trace` of a multi-TU program: the front end and
+// the checker run on the calling thread plus at most three reused pool
+// helpers, so the trace has at most four thread ids however many TUs and
+// functions there are.
+TEST(Session, TracedMultiTuCheckUsesAtMostJobsThreads) {
+  workloads::MultiTuProgram P = workloads::makeMultiTuFarm(12, 6, 3);
+  pp::FileMap Files;
+  for (const auto &H : P.Headers)
+    Files[H.Name] = H.Text;
+  std::vector<frontend::InputFile> Inputs;
+  for (const auto &U : P.Units)
+    Inputs.push_back({U.Name, U.Text});
+
+  SessionOptions Options;
+  Options.Builtins = {"pos", "neg"};
+  Options.Jobs = 4;
+  Options.IncludeDirs = {"."};
+  Options.ShippedFiles = &Files;
+  trace::Tracer::start();
+  {
+    Session S(Options);
+    EXPECT_TRUE(S.checkFiles(Inputs).Load.ok());
+  }
+  std::vector<trace::TraceEvent> Events = trace::Tracer::stop();
+  std::set<uint32_t> Tids;
+  for (const trace::TraceEvent &E : Events)
+    Tids.insert(E.Tid);
+  EXPECT_FALSE(Events.empty());
+  EXPECT_LE(Tids.size(), 4u);
 }
 
 } // namespace

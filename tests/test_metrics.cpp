@@ -291,10 +291,11 @@ TEST(Metrics, SchedulingDependentPrefixes) {
   const std::vector<std::string> &P =
       metrics::schedulingDependentCounterPrefixes();
   EXPECT_NE(std::find(P.begin(), P.end(), "pool."), P.end());
-  EXPECT_NE(std::find(P.begin(), P.end(), "check.memo."), P.end());
   EXPECT_NE(std::find(P.begin(), P.end(), "prover.cache.contended"), P.end());
-  // check.* totals themselves are part of the determinism contract.
+  // check.* totals themselves are part of the determinism contract, and so
+  // is the memo accounting: the memo starts empty in every unit.
   EXPECT_EQ(std::find(P.begin(), P.end(), "check."), P.end());
+  EXPECT_EQ(std::find(P.begin(), P.end(), "check.memo."), P.end());
 }
 
 TEST(Diagnostics, TextConsumerMatchesHistoricalFormat) {

@@ -78,6 +78,47 @@ TEST(TypePattern, QualifiersIgnoredAtEveryLevel) {
   EXPECT_TRUE(IntPtr.matches(T));
 }
 
+TEST(TypePattern, MatchTable) {
+  auto Q = [](cminus::TypePtr T) { return Type::withQual(T, "pos"); };
+  auto Ptr = [](cminus::TypePtr T) { return Type::getPointer(T); };
+  const cminus::TypePtr Int = Type::getInt(), Char = Type::getChar();
+  struct Row {
+    const char *Name;
+    cminus::TypePtr Ty;
+    bool Any, IsInt, IsChar, AnyPtr;
+  };
+  const Row Rows[] = {
+      {"int", Int, true, true, false, false},
+      {"int pos", Q(Int), true, true, false, false},
+      {"char", Char, true, false, true, false},
+      {"char pos", Q(Char), true, false, true, false},
+      {"int pos*", Ptr(Q(Int)), true, false, false, true},
+      {"char pos* pos", Q(Ptr(Q(Char))), true, false, false, true},
+      {"int**", Ptr(Ptr(Int)), true, false, false, true},
+      {"int pos* pos* pos", Q(Ptr(Q(Ptr(Q(Int))))), true, false, false, true},
+      {"void", Type::getVoid(), true, false, false, false},
+      {"void*", Ptr(Type::getVoid()), true, false, false, true},
+      {"struct s", Type::getStruct("s"), true, false, false, false},
+      {"struct s pos*", Ptr(Q(Type::getStruct("s"))), true, false, false,
+       true},
+  };
+  const TypePattern AnyPtr = TypePattern::pointerTo(TypePattern::any());
+  for (const Row &R : Rows) {
+    EXPECT_EQ(TypePattern::any().matches(R.Ty), R.Any) << R.Name;
+    EXPECT_EQ(TypePattern::intTy().matches(R.Ty), R.IsInt) << R.Name;
+    EXPECT_EQ(TypePattern::charTy().matches(R.Ty), R.IsChar) << R.Name;
+    EXPECT_EQ(AnyPtr.matches(R.Ty), R.AnyPtr) << R.Name;
+  }
+  // Nested patterns look through qualifiers at every level too.
+  const TypePattern IntPtrPtr = TypePattern::pointerTo(
+      TypePattern::pointerTo(TypePattern::intTy()));
+  EXPECT_TRUE(IntPtrPtr.matches(Q(Ptr(Q(Ptr(Q(Int)))))));
+  EXPECT_FALSE(IntPtrPtr.matches(Ptr(Ptr(Char))));
+  EXPECT_FALSE(IntPtrPtr.matches(Ptr(Q(Int))));
+  EXPECT_TRUE(TypePattern::pointerTo(TypePattern::charTy())
+                  .matches(Q(Ptr(Q(Char)))));
+}
+
 //===----------------------------------------------------------------------===//
 // Parsing
 //===----------------------------------------------------------------------===//
