@@ -48,15 +48,16 @@ void QualChecker::warn(SourceLoc Loc, const std::string &Message) {
 std::string QualChecker::AssignSite::str() const {
   switch (K) {
   case Kind::Init:
-    return "initialization of '" + *Name + "'";
+    return "initialization of '" + std::string(Name) + "'";
   case Kind::GlobalInit:
-    return "initialization of global '" + *Name + "'";
+    return "initialization of global '" + std::string(Name) + "'";
   case Kind::Assign:
     return "assignment to '" + printLValue(Target) + "'";
   case Kind::Return:
-    return "return from '" + *Name + "'";
+    return "return from '" + std::string(Name) + "'";
   case Kind::Argument:
-    return "argument " + std::to_string(Arg) + " of call to '" + *Name + "'";
+    return "argument " + std::to_string(Arg) + " of call to '" +
+           std::string(Name) + "'";
   }
   return "?";
 }
@@ -680,7 +681,7 @@ void QualChecker::scanCall(const CallExpr *Call) {
   for (size_t I = 0; I < Call->Args.size() && I < Callee->Params.size(); ++I)
     checkAssignmentTo(
         Callee->Params[I]->DeclaredTy, Call->Args[I], Call->Args[I]->Loc,
-        AssignSite{AssignSite::Kind::Argument, &Callee->Name, nullptr, I + 1},
+        AssignSite{AssignSite::Kind::Argument, Callee->Name, nullptr, I + 1},
         Callee->Params[I]);
 }
 
@@ -704,7 +705,7 @@ void QualChecker::checkStmt(Stmt *S) {
       scanExpr(Var->Init, false);
     }
     checkAssignmentTo(Var->DeclaredTy, Var->Init, Var->Loc,
-                      AssignSite{AssignSite::Kind::Init, &Var->Name}, Var);
+                      AssignSite{AssignSite::Kind::Init, Var->Name}, Var);
     return;
   }
   case Stmt::Kind::Assign: {
@@ -720,7 +721,7 @@ void QualChecker::checkStmt(Stmt *S) {
     if (Assign->LHS->Ty)
       checkAssignmentTo(
           Assign->LHS->Ty, Assign->RHS, Assign->Loc,
-          AssignSite{AssignSite::Kind::Assign, nullptr, Assign->LHS},
+          AssignSite{AssignSite::Kind::Assign, {}, Assign->LHS},
           Assign->LHS->isBareVar() ? Assign->LHS->Var : nullptr);
     return;
   }
@@ -779,7 +780,7 @@ void QualChecker::checkStmt(Stmt *S) {
     assert(CurrentFn && "return outside function");
     if (!CurrentFn->RetTy->isVoid())
       checkAssignmentTo(CurrentFn->RetTy, Ret->Value, Ret->Loc,
-                        AssignSite{AssignSite::Kind::Return, &CurrentFn->Name});
+                        AssignSite{AssignSite::Kind::Return, CurrentFn->Name});
     return;
   }
   case Stmt::Kind::Break:
@@ -1088,7 +1089,7 @@ void QualChecker::checkNarrowed(
 
 void QualChecker::checkFunction(FuncDecl *Fn) {
   trace::Span S("check.unit",
-                trace::Tracer::enabled() ? Fn->Name : std::string());
+                trace::Tracer::enabled() ? std::string(Fn->Name) : std::string());
   beginUnit();
   CurrentFn = Fn;
   checkStmt(Fn->Body);
@@ -1115,7 +1116,7 @@ void QualChecker::checkGlobals() {
       continue;
     scanExpr(G->Init, false);
     checkAssignmentTo(G->DeclaredTy, G->Init, G->Loc,
-                      AssignSite{AssignSite::Kind::GlobalInit, &G->Name}, G);
+                      AssignSite{AssignSite::Kind::GlobalInit, G->Name}, G);
   }
 }
 

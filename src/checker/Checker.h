@@ -191,7 +191,7 @@ private:
     enum class Kind { Init, GlobalInit, Assign, Return, Argument };
     Kind K = Kind::Init;
     /// The variable, function or callee name (not used by Kind::Assign).
-    const std::string *Name = nullptr;
+    std::string_view Name;
     /// Kind::Assign: the assigned l-value.
     const cminus::LValue *Target = nullptr;
     /// Kind::Argument: the 1-based argument position.

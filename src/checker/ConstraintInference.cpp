@@ -84,7 +84,7 @@ std::map<const VarDecl *, VarInfo> buildVarInfo(const Program &Prog) {
     UnitFlows Unit;
     collectUnitFlows(Prog, I + 1, Unit);
     for (const VarDecl *V : Unit.Vars)
-      Info[V] = {I + 1, Fn->Name, V->IsParam ? "parameter" : "local"};
+      Info[V] = {I + 1, std::string(Fn->Name), V->IsParam ? "parameter" : "local"};
   }
   return Info;
 }

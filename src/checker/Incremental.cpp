@@ -71,7 +71,7 @@ void hashLValue(Hasher &H, const cminus::LValue *LV,
   if (LV->isMem())
     hashExpr(H, LV->Addr, Callees);
   H.u64(LV->Fields.size());
-  for (const std::string &F : LV->Fields)
+  for (std::string_view F : LV->Fields)
     H.str(F);
 }
 
@@ -128,7 +128,7 @@ void hashExpr(Hasher &H, const cminus::Expr *E,
     H.u64(C->Args.size());
     for (const cminus::Expr *A : C->Args)
       hashExpr(H, A, Callees);
-    Callees.push_back(C->CalleeName);
+    Callees.emplace_back(C->CalleeName);
     break;
   }
   case Expr::Kind::SizeofType:
@@ -423,7 +423,7 @@ RecheckResult Engine::recheck(const std::string &Unit, cminus::Program &Prog,
   // callers fold these, and prototype edits must dirty them too.
   std::map<std::string, Hash128> Sigs;
   for (const cminus::FuncDecl *Fn : Prog.Functions)
-    Sigs[Fn->Name] = hashSignature(*Fn);
+    Sigs[std::string(Fn->Name)] = hashSignature(*Fn);
 
   Hash128 Env = hashEnv(Quals, Options, Prog);
   if (EnvSeed) {
@@ -486,12 +486,12 @@ RecheckResult Engine::recheck(const std::string &Unit, cminus::Program &Prog,
         ChangedSigs.insert(Name);
     Snap.Signatures = Sigs;
   }
-  std::set<std::string> ForcedDirty;
+  std::set<std::string, std::less<>> ForcedDirty;
   if (!ChangedSigs.empty()) {
     std::map<std::string, std::vector<std::string>> CallersOf;
     for (size_t I = 1; I < Units; ++I)
       for (const std::string &Callee : Callees[I])
-        CallersOf[Callee].push_back(Fns[I - 1]->Name);
+        CallersOf[Callee].emplace_back(Fns[I - 1]->Name);
     std::vector<std::string> Work(ChangedSigs.begin(), ChangedSigs.end());
     std::set<std::string> Seen(ChangedSigs);
     while (!Work.empty()) {

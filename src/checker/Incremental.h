@@ -56,6 +56,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace stq {
@@ -92,7 +93,7 @@ public:
   }
   void i64(int64_t X) { u64(static_cast<uint64_t>(X)); }
   /// Length-prefixed, so "ab"+"c" never collides with "a"+"bc".
-  void str(const std::string &S) {
+  void str(std::string_view S) {
     u64(S.size());
     for (char C : S)
       byte(static_cast<uint8_t>(C));

@@ -5,19 +5,11 @@
 using namespace stq::cminus;
 
 const StructDef::Field *StructDef::findField(
-    const std::string &FieldName) const {
+    std::string_view FieldName) const {
   for (const Field &F : Fields)
     if (F.Name == FieldName)
       return &F;
   return nullptr;
-}
-
-TypePtr FuncDecl::type() const {
-  std::vector<TypePtr> ParamTys;
-  ParamTys.reserve(Params.size());
-  for (const VarDecl *P : Params)
-    ParamTys.push_back(P->DeclaredTy);
-  return Type::getFunction(RetTy, std::move(ParamTys), Variadic);
 }
 
 const char *stq::cminus::binaryOpSpelling(BinaryOp Op) {
@@ -64,14 +56,14 @@ const char *stq::cminus::unaryOpSpelling(UnaryOp Op) {
   return "?";
 }
 
-FuncDecl *Program::findFunction(const std::string &Name) const {
+FuncDecl *Program::findFunction(std::string_view Name) const {
   for (FuncDecl *F : Functions)
     if (F->Name == Name)
       return F;
   return nullptr;
 }
 
-StructDef *Program::findStruct(const std::string &Name) const {
+StructDef *Program::findStruct(std::string_view Name) const {
   for (StructDef *S : Structs)
     if (S->Name == Name)
       return S;

@@ -22,9 +22,14 @@
 #include "support/Casting.h"
 #include "support/SourceLoc.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace stq::cminus {
@@ -41,29 +46,28 @@ class BlockStmt;
 class StructDef {
 public:
   struct Field {
-    std::string Name;
+    std::string_view Name;
     TypePtr Ty;
   };
 
-  StructDef(std::string Name, SourceLoc Loc)
-      : Name(std::move(Name)), Loc(Loc) {}
+  StructDef(std::string_view Name, SourceLoc Loc) : Name(Name), Loc(Loc) {}
 
-  std::string Name;
-  std::vector<Field> Fields;
+  std::string_view Name;
+  std::span<Field> Fields;
   SourceLoc Loc;
 
   /// Returns the field named \p FieldName, or nullptr.
-  const Field *findField(const std::string &FieldName) const;
+  const Field *findField(std::string_view FieldName) const;
 };
 
 /// A variable declaration: global, local, or parameter. The declared type
 /// retains every user-written qualifier (value and reference).
 class VarDecl {
 public:
-  VarDecl(std::string Name, TypePtr Ty, SourceLoc Loc, unsigned Id)
-      : Name(std::move(Name)), DeclaredTy(std::move(Ty)), Loc(Loc), Id(Id) {}
+  VarDecl(std::string_view Name, TypePtr Ty, SourceLoc Loc, unsigned Id)
+      : Name(Name), DeclaredTy(Ty), Loc(Loc), Id(Id) {}
 
-  std::string Name;
+  std::string_view Name;
   TypePtr DeclaredTy;
   /// Optional initializer (may be a call; treated as an assignment
   /// instruction by the checker).
@@ -78,20 +82,18 @@ public:
 /// A function declaration or definition.
 class FuncDecl {
 public:
-  FuncDecl(std::string Name, TypePtr RetTy, SourceLoc Loc)
-      : Name(std::move(Name)), RetTy(std::move(RetTy)), Loc(Loc) {}
+  FuncDecl(std::string_view Name, TypePtr RetTy, SourceLoc Loc)
+      : Name(Name), RetTy(RetTy), Loc(Loc) {}
 
-  std::string Name;
+  std::string_view Name;
   TypePtr RetTy;
-  std::vector<VarDecl *> Params;
+  std::span<VarDecl *> Params;
   bool Variadic = false;
   /// Null for prototypes.
   BlockStmt *Body = nullptr;
   SourceLoc Loc;
 
   bool isDefinition() const { return Body != nullptr; }
-  /// Builds the function type from the return and parameter types.
-  TypePtr type() const;
 };
 
 //===----------------------------------------------------------------------===//
@@ -120,11 +122,11 @@ public:
   /// The address expression, for Mem l-values.
   Expr *Addr = nullptr;
   /// Field path applied after the base (empty for plain variables/derefs).
-  std::vector<std::string> Fields;
+  std::span<std::string_view> Fields;
   SourceLoc Loc;
   /// Declared type of the l-value, including reference qualifiers; set by
   /// Sema.
-  TypePtr Ty;
+  TypePtr Ty = nullptr;
 };
 
 //===----------------------------------------------------------------------===//
@@ -169,14 +171,12 @@ public:
     SizeofType,
   };
 
-  virtual ~Expr() = default;
-
   Kind getKind() const { return K; }
 
   SourceLoc Loc;
   /// Static type, set by Sema. For l-value reads this is the r-type
   /// (reference qualifiers stripped).
-  TypePtr Ty;
+  TypePtr Ty = nullptr;
   /// Dense id unique within one Program; used for memoization keys.
   unsigned Id = 0;
 
@@ -199,9 +199,9 @@ public:
 /// A string literal (type char*).
 class StrConstExpr : public Expr {
 public:
-  StrConstExpr(std::string Value, SourceLoc Loc)
-      : Expr(Kind::StrConst, Loc), Value(std::move(Value)) {}
-  std::string Value;
+  StrConstExpr(std::string_view Value, SourceLoc Loc)
+      : Expr(Kind::StrConst, Loc), Value(Value) {}
+  std::string_view Value;
   static bool classof(const Expr *E) { return E->getKind() == Kind::StrConst; }
 };
 
@@ -254,7 +254,7 @@ public:
 class CastExpr : public Expr {
 public:
   CastExpr(TypePtr Target, Expr *Sub, SourceLoc Loc)
-      : Expr(Kind::Cast, Loc), Target(std::move(Target)), Sub(Sub) {}
+      : Expr(Kind::Cast, Loc), Target(Target), Sub(Sub) {}
   TypePtr Target;
   Expr *Sub;
   static bool classof(const Expr *E) { return E->getKind() == Kind::Cast; }
@@ -265,11 +265,10 @@ public:
 /// which is ignored for pattern-matching purposes, as in the paper).
 class CallExpr : public Expr {
 public:
-  CallExpr(std::string CalleeName, std::vector<Expr *> Args, SourceLoc Loc)
-      : Expr(Kind::Call, Loc), CalleeName(std::move(CalleeName)),
-        Args(std::move(Args)) {}
-  std::string CalleeName;
-  std::vector<Expr *> Args;
+  CallExpr(std::string_view CalleeName, std::span<Expr *> Args, SourceLoc Loc)
+      : Expr(Kind::Call, Loc), CalleeName(CalleeName), Args(Args) {}
+  std::string_view CalleeName;
+  std::span<Expr *> Args;
   /// Resolved by Sema; null for unknown externals.
   FuncDecl *Callee = nullptr;
   /// True for memory-allocation routines (malloc); these match the `new`
@@ -282,7 +281,7 @@ public:
 class SizeofTypeExpr : public Expr {
 public:
   SizeofTypeExpr(TypePtr Target, SourceLoc Loc)
-      : Expr(Kind::SizeofType, Loc), Target(std::move(Target)) {}
+      : Expr(Kind::SizeofType, Loc), Target(Target) {}
   TypePtr Target;
   static bool classof(const Expr *E) {
     return E->getKind() == Kind::SizeofType;
@@ -308,8 +307,6 @@ public:
     Continue,
   };
 
-  virtual ~Stmt() = default;
-
   Kind getKind() const { return K; }
   SourceLoc Loc;
 
@@ -323,7 +320,7 @@ private:
 class BlockStmt : public Stmt {
 public:
   explicit BlockStmt(SourceLoc Loc) : Stmt(Kind::Block, Loc) {}
-  std::vector<Stmt *> Stmts;
+  std::span<Stmt *> Stmts;
   static bool classof(const Stmt *S) { return S->getKind() == Kind::Block; }
 };
 
@@ -406,72 +403,99 @@ public:
 // Program
 //===----------------------------------------------------------------------===//
 
-/// Owns every AST node of one translation unit and hands out raw pointers.
+/// Owns every AST node and every type of one translation unit. All of
+/// them, and everything they point to (names, field paths, child lists),
+/// are allocated from one arena whose chunks grow geometrically from a
+/// small first one; nodes are trivially destructible and are never visited
+/// on teardown, so destroying the context frees a handful of chunks.
+/// Nothing taken from a context may outlive it.
 class ASTContext {
 public:
+  ASTContext() : Types(Arena) {}
+  ASTContext(const ASTContext &) = delete;
+  ASTContext &operator=(const ASTContext &) = delete;
+
   template <typename T, typename... Args> T *createExpr(Args &&...A) {
-    auto Node = std::make_unique<T>(std::forward<Args>(A)...);
-    T *Raw = Node.get();
-    Raw->Id = NextExprId++;
-    Exprs.push_back(std::move(Node));
-    return Raw;
+    T *Node = make<T>(std::forward<Args>(A)...);
+    Node->Id = static_cast<unsigned>(Exprs.size());
+    Exprs.push_back(Node);
+    return Node;
   }
 
   LValue *createLValue(VarDecl *Var, SourceLoc Loc) {
-    LValues.push_back(std::make_unique<LValue>(Var, Loc));
-    return LValues.back().get();
+    LValues.push_back(make<LValue>(Var, Loc));
+    return LValues.back();
   }
   LValue *createLValue(Expr *Addr, SourceLoc Loc) {
-    LValues.push_back(std::make_unique<LValue>(Addr, Loc));
-    return LValues.back().get();
+    LValues.push_back(make<LValue>(Addr, Loc));
+    return LValues.back();
   }
 
   template <typename T, typename... Args> T *createStmt(Args &&...A) {
-    auto Node = std::make_unique<T>(std::forward<Args>(A)...);
-    T *Raw = Node.get();
-    Stmts.push_back(std::move(Node));
-    return Raw;
+    return make<T>(std::forward<Args>(A)...);
   }
 
-  VarDecl *createVar(std::string Name, TypePtr Ty, SourceLoc Loc) {
-    auto Node =
-        std::make_unique<VarDecl>(std::move(Name), std::move(Ty), Loc,
-                                  NextVarId++);
-    VarDecl *Raw = Node.get();
-    Vars.push_back(std::move(Node));
-    return Raw;
+  VarDecl *createVar(std::string_view Name, TypePtr Ty, SourceLoc Loc) {
+    return make<VarDecl>(copyString(Name), Ty, Loc, NextVarId++);
   }
 
-  FuncDecl *createFunc(std::string Name, TypePtr RetTy, SourceLoc Loc) {
-    Funcs.push_back(
-        std::make_unique<FuncDecl>(std::move(Name), std::move(RetTy), Loc));
-    return Funcs.back().get();
+  FuncDecl *createFunc(std::string_view Name, TypePtr RetTy, SourceLoc Loc) {
+    return make<FuncDecl>(copyString(Name), RetTy, Loc);
   }
 
-  StructDef *createStruct(std::string Name, SourceLoc Loc) {
-    Structs.push_back(std::make_unique<StructDef>(std::move(Name), Loc));
-    return Structs.back().get();
+  StructDef *createStruct(std::string_view Name, SourceLoc Loc) {
+    return make<StructDef>(copyString(Name), Loc);
   }
 
-  unsigned numExprs() const { return NextExprId; }
+  /// Copies \p S into the arena.
+  std::string_view copyString(std::string_view S) {
+    if (S.empty())
+      return {};
+    char *Mem = static_cast<char *>(Arena.allocate(S.size(), 1));
+    std::copy(S.begin(), S.end(), Mem);
+    return {Mem, S.size()};
+  }
+
+  /// Copies \p Items into the arena.
+  template <typename T> std::span<T> copyArray(std::span<const T> Items) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (Items.empty())
+      return {};
+    T *Mem = static_cast<T *>(Arena.allocate(Items.size() * sizeof(T),
+                                             alignof(T)));
+    std::uninitialized_copy(Items.begin(), Items.end(), Mem);
+    return {Mem, Items.size()};
+  }
+
+  /// The context every type of this unit is interned in.
+  TypeContext &types() { return Types; }
+
+  unsigned numExprs() const { return static_cast<unsigned>(Exprs.size()); }
 
   /// Clears every computed type so Sema can be re-run after a tool mutates
   /// declared types (the annotation driver's iterative loop).
   void resetComputedTypes() {
-    for (auto &E : Exprs)
+    for (Expr *E : Exprs)
       E->Ty = nullptr;
-    for (auto &LV : LValues)
+    for (LValue *LV : LValues)
       LV->Ty = nullptr;
   }
 
 private:
-  std::vector<std::unique_ptr<Expr>> Exprs;
-  std::vector<std::unique_ptr<LValue>> LValues;
-  std::vector<std::unique_ptr<Stmt>> Stmts;
-  std::vector<std::unique_ptr<VarDecl>> Vars;
-  std::vector<std::unique_ptr<FuncDecl>> Funcs;
-  std::vector<std::unique_ptr<StructDef>> Structs;
-  unsigned NextExprId = 0;
+  template <typename T, typename... Args> T *make(Args &&...A) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena nodes are never destroyed");
+    return new (Arena.allocate(sizeof(T), alignof(T)))
+        T(std::forward<Args>(A)...);
+  }
+
+  // Declared first: everything below points into it.
+  std::pmr::monotonic_buffer_resource Arena;
+  TypeContext Types;
+  /// Every expression (indexed by Expr::Id) and l-value, for
+  /// resetComputedTypes; the nodes themselves live in the arena.
+  std::vector<Expr *> Exprs;
+  std::vector<LValue *> LValues;
   unsigned NextVarId = 0;
 };
 
@@ -483,8 +507,10 @@ public:
   std::vector<VarDecl *> Globals;
   std::vector<FuncDecl *> Functions;
 
-  FuncDecl *findFunction(const std::string &Name) const;
-  StructDef *findStruct(const std::string &Name) const;
+  TypeContext &types() { return Ctx.types(); }
+
+  FuncDecl *findFunction(std::string_view Name) const;
+  StructDef *findStruct(std::string_view Name) const;
 };
 
 } // namespace stq::cminus

@@ -58,14 +58,17 @@ private:
     if (Pre.empty())
       return S;
     auto *Block = Prog.Ctx.createStmt<BlockStmt>(S->Loc);
-    Block->Stmts = Pre;
-    Block->Stmts.push_back(S);
+    std::vector<Stmt *> Stmts = Pre;
+    Stmts.push_back(S);
+    Block->Stmts = Prog.Ctx.copyArray<Stmt *>(Stmts);
     return Block;
   }
 
   Program &Prog;
   DiagnosticEngine &Diags;
   unsigned NextTemp = 0;
+  /// Statement lists being rebuilt, innermost block on top.
+  std::vector<Stmt *> StmtScratch;
 };
 
 } // namespace
@@ -82,16 +85,19 @@ bool Lowerer::run() {
 }
 
 void Lowerer::lowerBlock(BlockStmt *Block) {
-  std::vector<Stmt *> NewStmts;
-  NewStmts.reserve(Block->Stmts.size());
+  size_t Base = StmtScratch.size();
+  bool Hoisted = false;
   for (Stmt *S : Block->Stmts) {
     std::vector<Stmt *> Pre;
     lowerStmt(S, Pre);
-    for (Stmt *P : Pre)
-      NewStmts.push_back(P);
-    NewStmts.push_back(S);
+    Hoisted = Hoisted || !Pre.empty();
+    StmtScratch.insert(StmtScratch.end(), Pre.begin(), Pre.end());
+    StmtScratch.push_back(S);
   }
-  Block->Stmts = std::move(NewStmts);
+  if (Hoisted)
+    Block->Stmts = Prog.Ctx.copyArray<Stmt *>(
+        std::span(StmtScratch).subspan(Base));
+  StmtScratch.resize(Base);
 }
 
 void Lowerer::lowerStmt(Stmt *S, std::vector<Stmt *> &Pre) {
@@ -234,13 +240,14 @@ void Lowerer::flattenLValue(LValue *LV, std::vector<Stmt *> &Pre) {
     if (!Addr)
       break;
     LValue *Inner = Addr->LV;
-    std::vector<std::string> ExtraFields = LV->Fields;
-    std::vector<std::string> Fields = Inner->Fields;
+    std::span<std::string_view> ExtraFields = LV->Fields;
+    std::vector<std::string_view> Fields(Inner->Fields.begin(),
+                                         Inner->Fields.end());
     Fields.insert(Fields.end(), ExtraFields.begin(), ExtraFields.end());
     // Sema ran before lowering; recompute the collapsed l-value's type
     // from the inner l-value's (which covers Inner->Fields already).
     TypePtr Ty = Inner->Ty;
-    for (const std::string &Field : ExtraFields) {
+    for (std::string_view Field : ExtraFields) {
       if (!Ty)
         break;
       TypePtr Bare = Type::withoutQuals(Ty);
@@ -252,16 +259,16 @@ void Lowerer::flattenLValue(LValue *LV, std::vector<Stmt *> &Pre) {
     LV->K = Inner->K;
     LV->Var = Inner->Var;
     LV->Addr = Inner->Addr;
-    LV->Fields = std::move(Fields);
+    LV->Fields = Prog.Ctx.copyArray<std::string_view>(Fields);
     LV->Ty = Ty;
   }
 }
 
 Expr *Lowerer::hoistCall(CallExpr *Call, std::vector<Stmt *> &Pre) {
-  TypePtr Ty = Call->Ty ? Call->Ty : Type::getInt();
+  TypePtr Ty = Call->Ty ? Call->Ty : Prog.types().getInt();
   if (Ty->isVoid()) {
     error(Call->Loc, "void call used as a value");
-    Ty = Type::getInt();
+    Ty = Prog.types().getInt();
   }
   std::string Name = "__cil_tmp" + std::to_string(NextTemp++);
   VarDecl *Temp = Prog.Ctx.createVar(Name, Ty, Call->Loc);

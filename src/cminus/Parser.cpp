@@ -4,6 +4,7 @@
 
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace stq;
@@ -115,29 +116,35 @@ bool Parser::checkDepth() {
 // Scopes
 //===----------------------------------------------------------------------===//
 
-void Parser::pushScope() { Scopes.emplace_back(); }
+void Parser::pushScope() { ScopeMarks.push_back(ScopeUndo.size()); }
 
 void Parser::popScope() {
-  assert(!Scopes.empty() && "popScope without matching push");
-  Scopes.pop_back();
+  assert(!ScopeMarks.empty() && "popScope without matching push");
+  size_t Mark = ScopeMarks.back();
+  ScopeMarks.pop_back();
+  while (ScopeUndo.size() > Mark) {
+    Visible[ScopeUndo.back().first] = ScopeUndo.back().second;
+    ScopeUndo.pop_back();
+  }
 }
 
-VarDecl *Parser::lookupVar(const std::string &Name) const {
-  for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-    auto Found = It->find(Name);
-    if (Found != It->end())
-      return Found->second;
-  }
-  return nullptr;
+VarDecl *Parser::lookupVar(std::string_view Name) const {
+  auto It = Visible.find(Name);
+  return It == Visible.end() ? nullptr : It->second.Var;
 }
 
 void Parser::declareVar(VarDecl *Var) {
-  assert(!Scopes.empty() && "declaration outside any scope");
-  auto [It, Inserted] = Scopes.back().emplace(Var->Name, Var);
-  if (!Inserted)
+  assert(!ScopeMarks.empty() && "declaration outside any scope");
+  unsigned Depth = static_cast<unsigned>(ScopeMarks.size());
+  Binding &B = Visible[Var->Name];
+  if (B.Var && B.Depth == Depth) {
     Diags.error(Var->Loc, "parse",
-                "redeclaration of '" + Var->Name + "' in the same scope");
-  (void)It;
+                "redeclaration of '" + std::string(Var->Name) +
+                    "' in the same scope");
+    return;
+  }
+  ScopeUndo.emplace_back(Var->Name, B);
+  B = {Var, Depth};
 }
 
 //===----------------------------------------------------------------------===//
@@ -149,41 +156,38 @@ bool Parser::atTypeStart() const {
          checkIdent("struct");
 }
 
-std::vector<std::string> Parser::parseQuals() {
-  std::vector<std::string> Quals;
+TypePtr Parser::parseQuals(TypePtr Ty) {
+  QualScratch.clear();
   while (check(TokenKind::Identifier) &&
          QualifierNames.count(peek().Text) != 0)
-    Quals.push_back(advance().Text);
-  return Quals;
+    QualScratch.push_back(advance().Text);
+  if (QualScratch.empty())
+    return Ty;
+  return Prog->types().withQuals(Ty, QualScratch);
 }
 
 TypePtr Parser::parseType() {
-  TypePtr Base;
+  TypeContext &Types = Prog->types();
+  TypePtr Base = nullptr;
   if (matchIdent("void")) {
-    Base = Type::getVoid();
+    Base = Types.getVoid();
   } else if (matchIdent("int")) {
-    Base = Type::getInt();
+    Base = Types.getInt();
   } else if (matchIdent("char")) {
-    Base = Type::getChar();
+    Base = Types.getChar();
   } else if (matchIdent("struct")) {
     if (!check(TokenKind::Identifier)) {
       error("expected struct name");
       return nullptr;
     }
-    Base = Type::getStruct(advance().Text);
+    Base = Types.getStruct(advance().Text);
   } else {
     error("expected type");
     return nullptr;
   }
-  std::vector<std::string> Quals = parseQuals();
-  if (!Quals.empty())
-    Base = Type::withQuals(Base, std::move(Quals));
-  while (match(TokenKind::Star)) {
-    Base = Type::getPointer(Base);
-    Quals = parseQuals();
-    if (!Quals.empty())
-      Base = Type::withQuals(Base, std::move(Quals));
-  }
+  Base = parseQuals(Base);
+  while (match(TokenKind::Star))
+    Base = parseQuals(Types.getPointer(Base));
   return Base;
 }
 
@@ -229,7 +233,7 @@ void Parser::parseTopLevel() {
     synchronize();
     return;
   }
-  std::string Name = advance().Text;
+  std::string_view Name = advance().Text;
   if (check(TokenKind::LParen))
     parseFunctionRest(Ty, Name, Loc);
   else
@@ -238,9 +242,10 @@ void Parser::parseTopLevel() {
 
 void Parser::parseStructDef() {
   SourceLoc Loc = advance().Loc; // 'struct'
-  std::string Name = advance().Text;
+  std::string_view Name = advance().Text;
   StructDef *Def = Prog->Ctx.createStruct(Name, Loc);
   expect(TokenKind::LBrace, "after struct name");
+  FieldScratch.clear();
   while (!check(TokenKind::RBrace) && !check(TokenKind::EndOfFile)) {
     TypePtr FieldTy = parseType();
     if (!FieldTy) {
@@ -252,21 +257,26 @@ void Parser::parseStructDef() {
       synchronize();
       continue;
     }
-    std::string FieldName = advance().Text;
-    if (Def->findField(FieldName))
+    const std::string &FieldName = advance().Text;
+    if (std::any_of(FieldScratch.begin(), FieldScratch.end(),
+                    [&](const StructDef::Field &F) {
+                      return F.Name == FieldName;
+                    }))
       error("duplicate field '" + FieldName + "'");
-    Def->Fields.push_back({FieldName, FieldTy});
+    FieldScratch.push_back({Prog->Ctx.copyString(FieldName), FieldTy});
     expect(TokenKind::Semi, "after struct field");
   }
+  Def->Fields = Prog->Ctx.copyArray<StructDef::Field>(FieldScratch);
   expect(TokenKind::RBrace, "to close struct definition");
   expect(TokenKind::Semi, "after struct definition");
   Prog->Structs.push_back(Def);
 }
 
-void Parser::parseFunctionRest(TypePtr RetTy, const std::string &Name,
+void Parser::parseFunctionRest(TypePtr RetTy, std::string_view Name,
                                SourceLoc Loc) {
   FuncDecl *Fn = Prog->Ctx.createFunc(Name, RetTy, Loc);
   expect(TokenKind::LParen, "after function name");
+  ParamScratch.clear();
   pushScope(); // Parameter scope.
   if (checkIdent("void") && peek(1).is(TokenKind::RParen)) {
     advance(); // `f(void)`: explicit empty parameter list.
@@ -279,7 +289,7 @@ void Parser::parseFunctionRest(TypePtr RetTy, const std::string &Name,
       TypePtr ParamTy = parseType();
       if (!ParamTy)
         break;
-      std::string ParamName;
+      std::string_view ParamName;
       SourceLoc ParamLoc = peek().Loc;
       if (check(TokenKind::Identifier) &&
           QualifierNames.count(peek().Text) == 0)
@@ -288,17 +298,19 @@ void Parser::parseFunctionRest(TypePtr RetTy, const std::string &Name,
       Param->IsParam = true;
       if (!ParamName.empty())
         declareVar(Param);
-      Fn->Params.push_back(Param);
+      ParamScratch.push_back(Param);
       if (!match(TokenKind::Comma))
         break;
     }
   }
+  Fn->Params = Prog->Ctx.copyArray<VarDecl *>(ParamScratch);
   expect(TokenKind::RParen, "to close parameter list");
 
   // Merge with a previous prototype if one exists.
   if (FuncDecl *Prev = Prog->findFunction(Name)) {
     if (Prev->isDefinition() && check(TokenKind::LBrace))
-      Diags.error(Loc, "parse", "redefinition of function '" + Name + "'");
+      Diags.error(Loc, "parse",
+                  "redefinition of function '" + std::string(Name) + "'");
   } else {
     Prog->Functions.push_back(Fn);
   }
@@ -316,7 +328,7 @@ void Parser::parseFunctionRest(TypePtr RetTy, const std::string &Name,
   popScope();
 }
 
-void Parser::parseGlobalRest(TypePtr Ty, const std::string &Name,
+void Parser::parseGlobalRest(TypePtr Ty, std::string_view Name,
                              SourceLoc Loc) {
   VarDecl *Var = Prog->Ctx.createVar(Name, Ty, Loc);
   Var->IsGlobal = true;
@@ -336,10 +348,14 @@ BlockStmt *Parser::parseBlock() {
   expect(TokenKind::LBrace, "to open block");
   auto *Block = Prog->Ctx.createStmt<BlockStmt>(Loc);
   pushScope();
+  size_t Base = StmtScratch.size();
   while (!check(TokenKind::RBrace) && !check(TokenKind::EndOfFile)) {
     if (Stmt *S = parseStmt())
-      Block->Stmts.push_back(S);
+      StmtScratch.push_back(S);
   }
+  Block->Stmts = Prog->Ctx.copyArray<Stmt *>(
+      std::span(StmtScratch).subspan(Base));
+  StmtScratch.resize(Base);
   popScope();
   expect(TokenKind::RBrace, "to close block");
   return Block;
@@ -386,7 +402,7 @@ Stmt *Parser::parseDeclStmt() {
     synchronize();
     return nullptr;
   }
-  std::string Name = advance().Text;
+  std::string_view Name = advance().Text;
   VarDecl *Var = Prog->Ctx.createVar(Name, Ty, Loc);
   if (match(TokenKind::Eq))
     Var->Init = parseExpr();
@@ -494,6 +510,12 @@ LValue *Parser::requireLValue(Expr *E, const char *Context) {
 
 Expr *Parser::makeErrorExpr(SourceLoc Loc) {
   return Prog->Ctx.createExpr<IntConstExpr>(0, Loc);
+}
+
+void Parser::appendField(LValue *LV, std::string_view Field) {
+  PathScratch.assign(LV->Fields.begin(), LV->Fields.end());
+  PathScratch.push_back(Prog->Ctx.copyString(Field));
+  LV->Fields = Prog->Ctx.copyArray<std::string_view>(PathScratch);
 }
 
 Expr *Parser::parseExpr() {
@@ -653,11 +675,11 @@ Expr *Parser::parsePostfix() {
         error("expected field name after '.'");
         return E;
       }
-      std::string Field = advance().Text;
+      std::string_view Field = advance().Text;
       LValue *LV = requireLValue(E, "before '.'");
       if (!LV)
         return makeErrorExpr(Loc);
-      LV->Fields.push_back(Field);
+      appendField(LV, Field);
       // Reuse the same read expression; its type is recomputed by Sema.
       continue;
     }
@@ -666,9 +688,9 @@ Expr *Parser::parsePostfix() {
         error("expected field name after '->'");
         return E;
       }
-      std::string Field = advance().Text;
+      std::string_view Field = advance().Text;
       LValue *LV = Prog->Ctx.createLValue(E, Loc);
-      LV->Fields.push_back(Field);
+      appendField(LV, Field);
       E = Prog->Ctx.createExpr<LValReadExpr>(LV, Loc);
       continue;
     }
@@ -688,8 +710,8 @@ Expr *Parser::parsePrimary() {
     return Prog->Ctx.createExpr<IntConstExpr>(V, Loc);
   }
   if (check(TokenKind::StringLiteral)) {
-    std::string S = advance().Text;
-    return Prog->Ctx.createExpr<StrConstExpr>(std::move(S), Loc);
+    std::string_view S = Prog->Ctx.copyString(advance().Text);
+    return Prog->Ctx.createExpr<StrConstExpr>(S, Loc);
   }
   if (checkIdent("NULL")) {
     advance();
@@ -705,17 +727,22 @@ Expr *Parser::parsePrimary() {
     return Prog->Ctx.createExpr<SizeofTypeExpr>(Target, Loc);
   }
   if (check(TokenKind::Identifier)) {
-    std::string Name = advance().Text;
+    const std::string &Name = advance().Text;
     if (check(TokenKind::LParen)) {
       advance();
-      std::vector<Expr *> Args;
+      size_t Base = ArgScratch.size();
       if (!check(TokenKind::RParen)) {
         do {
-          Args.push_back(parseExpr());
+          Expr *Arg = parseExpr();
+          ArgScratch.push_back(Arg);
         } while (match(TokenKind::Comma));
       }
       expect(TokenKind::RParen, "to close call");
-      return Prog->Ctx.createExpr<CallExpr>(Name, std::move(Args), Loc);
+      std::span<Expr *> Args = Prog->Ctx.copyArray<Expr *>(
+          std::span(ArgScratch).subspan(Base));
+      ArgScratch.resize(Base);
+      return Prog->Ctx.createExpr<CallExpr>(Prog->Ctx.copyString(Name), Args,
+                                            Loc);
     }
     VarDecl *Var = lookupVar(Name);
     if (!Var) {

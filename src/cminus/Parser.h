@@ -21,10 +21,12 @@
 #include "support/Diagnostics.h"
 #include "support/Lexer.h"
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace stq::cminus {
@@ -67,21 +69,21 @@ private:
   // Scopes.
   void pushScope();
   void popScope();
-  VarDecl *lookupVar(const std::string &Name) const;
+  VarDecl *lookupVar(std::string_view Name) const;
   void declareVar(VarDecl *Var);
 
   // Types.
   bool atTypeStart() const;
   /// Parses `basetype quals* ('*' quals*)*`; returns null on error.
   TypePtr parseType();
-  std::vector<std::string> parseQuals();
+  /// Applies any postfix qualifiers at the cursor to \p Ty.
+  TypePtr parseQuals(TypePtr Ty);
 
   // Top level.
   void parseTopLevel();
   void parseStructDef();
-  void parseFunctionRest(TypePtr RetTy, const std::string &Name,
-                         SourceLoc Loc);
-  void parseGlobalRest(TypePtr Ty, const std::string &Name, SourceLoc Loc);
+  void parseFunctionRest(TypePtr RetTy, std::string_view Name, SourceLoc Loc);
+  void parseGlobalRest(TypePtr Ty, std::string_view Name, SourceLoc Loc);
 
   // Statements.
   Stmt *parseStmt();
@@ -110,6 +112,8 @@ private:
   LValue *requireLValue(Expr *E, const char *Context);
   /// Makes a placeholder int expression after an error.
   Expr *makeErrorExpr(SourceLoc Loc);
+  /// Extends \p LV's field path by \p Field.
+  void appendField(LValue *LV, std::string_view Field);
 
   /// Hard cap on expression/statement nesting. Recursive descent uses the
   /// native stack, so an adversarial `((((...` tower would otherwise
@@ -125,7 +129,28 @@ private:
   std::set<std::string> QualifierNames;
   DiagnosticEngine &Diags;
   std::unique_ptr<Program> Prog;
-  std::vector<std::map<std::string, VarDecl *>> Scopes;
+
+  /// The innermost visible declaration of each name, with the scope depth
+  /// that declared it. Leaving a scope restores shadowed bindings from
+  /// ScopeUndo (entries above the scope's ScopeMarks slot) and keeps
+  /// unbound names' entries, so a name reused across functions costs one
+  /// map node per unit.
+  struct Binding {
+    VarDecl *Var = nullptr;
+    unsigned Depth = 0;
+  };
+  std::unordered_map<std::string_view, Binding> Visible;
+  std::vector<std::pair<std::string_view, Binding>> ScopeUndo;
+  std::vector<size_t> ScopeMarks;
+
+  // Scratch stacks for child lists; nested lists push above their parent's
+  // entries and pop them when copied into the arena.
+  std::vector<std::string_view> QualScratch;
+  std::vector<Stmt *> StmtScratch;
+  std::vector<Expr *> ArgScratch;
+  std::vector<VarDecl *> ParamScratch;
+  std::vector<StructDef::Field> FieldScratch;
+  std::vector<std::string_view> PathScratch;
   unsigned Depth = 0;
   bool DepthErrorReported = false;
   /// Diagnostics cap for pathological input; the last slot reports the

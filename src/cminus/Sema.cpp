@@ -9,7 +9,7 @@
 using namespace stq;
 using namespace stq::cminus;
 
-bool stq::cminus::isBaseAssignable(const TypePtr &Src, const TypePtr &Dst) {
+bool stq::cminus::isBaseAssignable(TypePtr Src, TypePtr Dst) {
   TypePtr S = Type::deepUnqualified(Src);
   TypePtr D = Type::deepUnqualified(Dst);
   if (Type::equals(S, D))
@@ -33,7 +33,10 @@ class Sema {
 public:
   Sema(Program &Prog, const std::vector<std::string> &RefQualNames,
        DiagnosticEngine &Diags)
-      : Prog(Prog), RefQuals(RefQualNames), Diags(Diags) {}
+      : Prog(Prog), Types(Prog.types()), RefQuals(RefQualNames), Diags(Diags),
+        IntTy(Types.getInt()), VoidTy(Types.getVoid()),
+        VoidPtrTy(Types.getPointer(VoidTy)),
+        CharPtrTy(Types.getPointer(Types.getChar())) {}
 
   bool run();
 
@@ -45,7 +48,7 @@ private:
   void checkFunction(FuncDecl *Fn);
   void checkStmt(Stmt *S);
   /// Checks an initialization or assignment of \p RHS into type \p DstTy.
-  void checkAssignable(const TypePtr &DstTy, Expr *RHS, SourceLoc Loc,
+  void checkAssignable(TypePtr DstTy, Expr *RHS, SourceLoc Loc,
                        const char *What);
 
   /// Computes and stores the type of \p E; returns it (never null; falls
@@ -55,14 +58,17 @@ private:
   TypePtr typeOfCall(CallExpr *Call);
 
   /// Strips reference qualifiers from the top level of \p T (r-type rule).
-  TypePtr stripRefQuals(const TypePtr &T) {
-    return Type::withoutQualsIn(T, RefQuals);
+  TypePtr stripRefQuals(TypePtr T) {
+    return Types.withoutQualsIn(T, RefQuals);
   }
 
   Program &Prog;
+  TypeContext &Types;
   const std::vector<std::string> &RefQuals;
   DiagnosticEngine &Diags;
   FuncDecl *CurrentFn = nullptr;
+  // Types every unit needs, interned once.
+  const TypePtr IntTy, VoidTy, VoidPtrTy, CharPtrTy;
 };
 
 } // namespace
@@ -101,7 +107,8 @@ void Sema::checkStmt(Stmt *S) {
   case Stmt::Kind::Decl: {
     VarDecl *Var = cast<DeclStmt>(S)->Var;
     if (Var->DeclaredTy->isVoid()) {
-      error(Var->Loc, "variable '" + Var->Name + "' has void type");
+      error(Var->Loc,
+            "variable '" + std::string(Var->Name) + "' has void type");
       return;
     }
     if (Var->Init)
@@ -153,14 +160,14 @@ void Sema::checkStmt(Stmt *S) {
     assert(CurrentFn && "return outside function");
     if (Ret->Value) {
       if (CurrentFn->RetTy->isVoid())
-        error(Ret->Loc, "void function '" + CurrentFn->Name +
+        error(Ret->Loc, "void function '" + std::string(CurrentFn->Name) +
                             "' returns a value");
       else
         checkAssignable(CurrentFn->RetTy, Ret->Value, Ret->Loc,
                         "return value");
     } else if (!CurrentFn->RetTy->isVoid()) {
-      error(Ret->Loc,
-            "non-void function '" + CurrentFn->Name + "' returns no value");
+      error(Ret->Loc, "non-void function '" + std::string(CurrentFn->Name) +
+                          "' returns no value");
     }
     return;
   }
@@ -170,7 +177,7 @@ void Sema::checkStmt(Stmt *S) {
   }
 }
 
-void Sema::checkAssignable(const TypePtr &DstTy, Expr *RHS, SourceLoc Loc,
+void Sema::checkAssignable(TypePtr DstTy, Expr *RHS, SourceLoc Loc,
                            const char *What) {
   TypePtr RHSTy = typeOf(RHS);
   if (isa<NullConstExpr>(RHS) && DstTy->isPointer())
@@ -191,7 +198,7 @@ void Sema::checkAssignable(const TypePtr &DstTy, Expr *RHS, SourceLoc Loc,
 TypePtr Sema::typeOfLValue(LValue *LV) {
   if (LV->Ty)
     return LV->Ty;
-  TypePtr Cur;
+  TypePtr Cur = nullptr;
   if (LV->isVar()) {
     Cur = LV->Var->DeclaredTy;
   } else {
@@ -199,29 +206,29 @@ TypePtr Sema::typeOfLValue(LValue *LV) {
     if (!AddrTy->isPointer()) {
       error(LV->Loc, "cannot dereference non-pointer type '" + AddrTy->str() +
                          "'");
-      Cur = Type::getInt();
+      Cur = IntTy;
     } else {
       Cur = AddrTy->pointee();
     }
   }
-  for (const std::string &Field : LV->Fields) {
+  for (std::string_view Field : LV->Fields) {
     TypePtr Bare = Type::withoutQuals(Cur);
     if (!Bare->isStruct()) {
       error(LV->Loc, "member access on non-struct type '" + Cur->str() + "'");
-      Cur = Type::getInt();
+      Cur = IntTy;
       break;
     }
     StructDef *Def = Prog.findStruct(Bare->structName());
     if (!Def) {
       error(LV->Loc, "unknown struct '" + Bare->structName() + "'");
-      Cur = Type::getInt();
+      Cur = IntTy;
       break;
     }
     const StructDef::Field *F = Def->findField(Field);
     if (!F) {
-      error(LV->Loc, "struct '" + Def->Name + "' has no field '" + Field +
-                         "'");
-      Cur = Type::getInt();
+      error(LV->Loc, "struct '" + std::string(Def->Name) + "' has no field '" +
+                         std::string(Field) + "'");
+      Cur = IntTy;
       break;
     }
     Cur = F->Ty;
@@ -241,27 +248,27 @@ TypePtr Sema::typeOfCall(CallExpr *Call) {
         typeOf(Arg);
       if (Call->Args.size() != 1)
         error(Call->Loc, "malloc takes exactly one argument");
-      return Type::getPointer(Type::getVoid());
+      return VoidPtrTy;
     }
     if (Call->CalleeName == "free") {
       for (Expr *Arg : Call->Args)
         typeOf(Arg);
       if (Call->Args.size() != 1)
         error(Call->Loc, "free takes exactly one argument");
-      return Type::getVoid();
+      return VoidTy;
     }
     if (Call->CalleeName == "printf") {
       for (Expr *Arg : Call->Args)
         typeOf(Arg);
       if (Call->Args.empty())
         error(Call->Loc, "printf requires a format string");
-      return Type::getInt();
+      return IntTy;
     }
-    error(Call->Loc, "call to undeclared function '" + Call->CalleeName +
-                         "'");
+    error(Call->Loc, "call to undeclared function '" +
+                         std::string(Call->CalleeName) + "'");
     for (Expr *Arg : Call->Args)
       typeOf(Arg);
-    return Type::getInt();
+    return IntTy;
   }
 
   Call->Callee = Callee;
@@ -270,8 +277,8 @@ TypePtr Sema::typeOfCall(CallExpr *Call) {
   size_t NumParams = Callee->Params.size();
   if (Call->Args.size() < NumParams ||
       (Call->Args.size() > NumParams && !Callee->Variadic)) {
-    error(Call->Loc, "wrong number of arguments to '" + Callee->Name +
-                         "': expected " + std::to_string(NumParams) +
+    error(Call->Loc, "wrong number of arguments to '" +
+                         std::string(Callee->Name) + "': expected " + std::to_string(NumParams) +
                          (Callee->Variadic ? "+" : "") + ", got " +
                          std::to_string(Call->Args.size()));
   }
@@ -288,16 +295,16 @@ TypePtr Sema::typeOfCall(CallExpr *Call) {
 TypePtr Sema::typeOf(Expr *E) {
   if (E->Ty)
     return E->Ty;
-  TypePtr Result;
+  TypePtr Result = nullptr;
   switch (E->getKind()) {
   case Expr::Kind::IntConst:
-    Result = Type::getInt();
+    Result = IntTy;
     break;
   case Expr::Kind::StrConst:
-    Result = Type::getPointer(Type::getChar());
+    Result = CharPtrTy;
     break;
   case Expr::Kind::NullConst:
-    Result = Type::getPointer(Type::getVoid());
+    Result = VoidPtrTy;
     break;
   case Expr::Kind::LValRead: {
     auto *Read = cast<LValReadExpr>(E);
@@ -310,7 +317,7 @@ TypePtr Sema::typeOf(Expr *E) {
     auto *Addr = cast<AddrOfExpr>(E);
     // Reference qualifiers describe the l-value's address identity, not its
     // contents, so they do not become part of the pointee type.
-    Result = Type::getPointer(stripRefQuals(typeOfLValue(Addr->LV)));
+    Result = Types.getPointer(stripRefQuals(typeOfLValue(Addr->LV)));
     break;
   }
   case Expr::Kind::Unary: {
@@ -323,7 +330,7 @@ TypePtr Sema::typeOf(Expr *E) {
       error(E->Loc, std::string("operand of unary '") +
                         unaryOpSpelling(Un->Op) + "' must be arithmetic");
     }
-    Result = Type::getInt();
+    Result = IntTy;
     break;
   }
   case Expr::Kind::Binary: {
@@ -341,15 +348,15 @@ TypePtr Sema::typeOf(Expr *E) {
                  R->isPointer()) {
         Result = R;
       } else if (L->isArithmetic() && R->isArithmetic()) {
-        Result = Type::getInt();
+        Result = IntTy;
       } else if (Bin->Op == BinaryOp::Sub && L->isPointer() &&
                  R->isPointer()) {
-        Result = Type::getInt();
+        Result = IntTy;
       } else {
         error(E->Loc, std::string("invalid operands to '") +
                           binaryOpSpelling(Bin->Op) + "': '" + L->str() +
                           "' and '" + R->str() + "'");
-        Result = Type::getInt();
+        Result = IntTy;
       }
       break;
     case BinaryOp::Mul:
@@ -358,7 +365,7 @@ TypePtr Sema::typeOf(Expr *E) {
       if (!L->isArithmetic() || !R->isArithmetic())
         error(E->Loc, std::string("invalid operands to '") +
                           binaryOpSpelling(Bin->Op) + "'");
-      Result = Type::getInt();
+      Result = IntTy;
       break;
     case BinaryOp::Eq:
     case BinaryOp::Ne:
@@ -373,12 +380,12 @@ TypePtr Sema::typeOf(Expr *E) {
       if (!BothArith && !BothPtr && !NullCmp)
         error(E->Loc, std::string("invalid comparison between '") + L->str() +
                           "' and '" + R->str() + "'");
-      Result = Type::getInt();
+      Result = IntTy;
       break;
     }
     case BinaryOp::LAnd:
     case BinaryOp::LOr:
-      Result = Type::getInt();
+      Result = IntTy;
       break;
     }
     break;
@@ -401,7 +408,7 @@ TypePtr Sema::typeOf(Expr *E) {
     Result = typeOfCall(cast<CallExpr>(E));
     break;
   case Expr::Kind::SizeofType:
-    Result = Type::getInt();
+    Result = IntTy;
     break;
   }
   assert(Result && "expression type not computed");

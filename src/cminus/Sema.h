@@ -38,7 +38,7 @@ bool runSema(Program &Prog, const std::vector<std::string> &RefQualNames,
 /// location of deep-unqualified type \p Dst under the base type system
 /// (identical structure; char/int interchangeable; NULL and void* to any
 /// pointer and back).
-bool isBaseAssignable(const TypePtr &Src, const TypePtr &Dst);
+bool isBaseAssignable(TypePtr Src, TypePtr Dst);
 
 } // namespace stq::cminus
 

@@ -129,7 +129,7 @@ QShape CqualEngine::shapeForVar(const VarDecl *Var) {
   auto Found = VarShapes.find(Var);
   if (Found != VarShapes.end())
     return Found->second;
-  QShape S = shapeForType(Var->DeclaredTy, Var->Loc, "var " + Var->Name);
+  QShape S = shapeForType(Var->DeclaredTy, Var->Loc, "var " + std::string(Var->Name));
   VarShapes.emplace(Var, S);
   return S;
 }
@@ -141,7 +141,7 @@ QShape CqualEngine::shapeForField(const StructDef *Def,
   if (Found != FieldShapes.end())
     return Found->second;
   const StructDef::Field *F = Def->findField(Field);
-  QShape S = F ? shapeForType(F->Ty, Def->Loc, Def->Name + "." + Field)
+  QShape S = F ? shapeForType(F->Ty, Def->Loc, std::string(Def->Name) + "." + Field)
                : freshShape(0, Def->Loc, "unknown field");
   FieldShapes.emplace(Key, S);
   return S;
@@ -151,7 +151,7 @@ QShape CqualEngine::shapeForReturn(const FuncDecl *Fn) {
   auto Found = ReturnShapes.find(Fn);
   if (Found != ReturnShapes.end())
     return Found->second;
-  QShape S = shapeForType(Fn->RetTy, Fn->Loc, "return of " + Fn->Name);
+  QShape S = shapeForType(Fn->RetTy, Fn->Loc, "return of " + std::string(Fn->Name));
   ReturnShapes.emplace(Fn, S);
   return S;
 }
@@ -185,7 +185,8 @@ QShape CqualEngine::shapeOfLValue(const LValue *LV) {
                               : (LV->Addr->Ty && LV->Addr->Ty->isPointer()
                                      ? LV->Addr->Ty->pointee()
                                      : nullptr);
-  for (const std::string &Field : LV->Fields) {
+  for (std::string_view FieldName : LV->Fields) {
+    std::string Field(FieldName);
     if (!CurTy)
       return freshShape(0, LV->Loc, "field");
     TypePtr Bare = Type::withoutQuals(CurTy);
@@ -214,7 +215,7 @@ QShape CqualEngine::shapeOfCall(const CallExpr *Call) {
   for (const Expr *Arg : Call->Args)
     shapeOfExpr(Arg);
   unsigned Levels = Call->Ty ? pointerDepth(Call->Ty) : 0;
-  return freshShape(Levels, Call->Loc, "call " + Call->CalleeName);
+  return freshShape(Levels, Call->Loc, "call " + std::string(Call->CalleeName));
 }
 
 QShape CqualEngine::shapeOfExpr(const Expr *E) {

@@ -7,7 +7,8 @@
 #include "cminus/Sema.h"
 #include "cminus/Type.h"
 
-#include <map>
+#include <string_view>
+#include <unordered_map>
 
 using namespace stq;
 using namespace stq::frontend;
@@ -92,12 +93,12 @@ void stq::frontend::remapDiagnostics(std::vector<Diagnostic> &Diags,
 
 namespace {
 
-/// One linked symbol's first sighting.
-struct SymInfo {
-  std::string Sig;   ///< Full qualified type spelling.
-  std::string TU;    ///< Input file that first introduced it.
-  std::string DefTU; ///< Input file that *defined* it (functions/globals).
-  bool Defined = false;
+/// One linked symbol's first sighting. The pointers reference the TUs'
+/// Programs and names, which outlive the link step.
+template <typename Decl> struct SymInfo {
+  const Decl *First = nullptr;        ///< The first declaration seen.
+  const std::string *TU = nullptr;    ///< Input file that first introduced it.
+  const std::string *DefTU = nullptr; ///< Input file that *defined* it.
 };
 
 /// The declaration's user-facing location: file + physical line via the
@@ -122,92 +123,132 @@ void linkError(DiagnosticEngine &Diags, const TUnit &U, SourceLoc Loc,
   Diags.report(std::move(D));
 }
 
-std::string funcSig(const cminus::FuncDecl &F) {
-  std::string Sig = F.type()->str();
+bool sameStruct(const cminus::StructDef &A, const cminus::StructDef &B) {
+  if (A.Fields.size() != B.Fields.size())
+    return false;
+  for (size_t I = 0; I < A.Fields.size(); ++I)
+    if (A.Fields[I].Name != B.Fields[I].Name ||
+        !cminus::Type::equals(A.Fields[I].Ty, B.Fields[I].Ty))
+      return false;
+  return true;
+}
+
+std::string structSig(const cminus::StructDef &S) {
+  std::string Sig = "{";
+  for (const auto &F : S.Fields) {
+    Sig += " " + F.Ty->str() + " ";
+    Sig += F.Name;
+    Sig += ";";
+  }
+  return Sig + " }";
+}
+
+std::string quoted(std::string_view Name) {
+  std::string Out = "'";
+  Out += Name;
+  return Out + "'";
+}
+
+} // namespace
+
+bool stq::frontend::sameSignature(const cminus::FuncDecl &A,
+                                  const cminus::FuncDecl &B) {
+  if (A.Variadic != B.Variadic || A.Params.size() != B.Params.size() ||
+      !cminus::Type::equals(A.RetTy, B.RetTy))
+    return false;
+  for (size_t I = 0; I < A.Params.size(); ++I)
+    if (!cminus::Type::equals(A.Params[I]->DeclaredTy,
+                              B.Params[I]->DeclaredTy))
+      return false;
+  return true;
+}
+
+std::string stq::frontend::signatureOf(const cminus::FuncDecl &F) {
+  std::string Sig = F.RetTy->str() + " (";
+  for (size_t I = 0; I < F.Params.size(); ++I) {
+    if (I)
+      Sig += ", ";
+    Sig += F.Params[I]->DeclaredTy->str();
+  }
+  if (F.Variadic)
+    Sig += F.Params.empty() ? "..." : ", ...";
+  Sig += ")";
   if (F.Variadic)
     Sig += ", ...";
   return Sig;
 }
 
-std::string structSig(const cminus::StructDef &S) {
-  std::string Sig = "{";
-  for (const auto &F : S.Fields)
-    Sig += " " + F.Ty->str() + " " + F.Name + ";";
-  return Sig + " }";
-}
-
-} // namespace
-
 bool stq::frontend::linkUnits(const std::vector<TUnit> &TUs,
                               DiagnosticEngine &Diags) {
   unsigned Before = Diags.errorCount();
-  std::map<std::string, SymInfo> Functions, Globals, Structs;
+  // Declarations are compared structurally; a signature is rendered only
+  // for a diagnostic.
+  std::unordered_map<std::string_view, SymInfo<cminus::FuncDecl>> Functions;
+  std::unordered_map<std::string_view, SymInfo<cminus::VarDecl>> Globals;
+  std::unordered_map<std::string_view, SymInfo<cminus::StructDef>> Structs;
 
   for (const TUnit &U : TUs) {
     if (!U.Program)
       continue;
 
     for (const cminus::StructDef *S : U.Program->Structs) {
-      std::string Sig = structSig(*S);
       auto [It, Inserted] = Structs.try_emplace(S->Name);
-      SymInfo &Sym = It->second;
+      auto &Sym = It->second;
       if (Inserted) {
-        Sym = {Sig, U.Name, U.Name, true};
+        Sym = {S, &U.Name, &U.Name};
         continue;
       }
-      if (Sym.Sig != Sig)
+      if (!sameStruct(*Sym.First, *S))
         linkError(Diags, U, S->Loc,
-                  "conflicting definitions of struct '" + S->Name + "': '" +
-                      Sym.Sig + "' (" + Sym.TU + ") vs '" + Sig + "' (" +
-                      U.Name + ")");
+                  "conflicting definitions of struct " + quoted(S->Name) +
+                      ": '" + structSig(*Sym.First) + "' (" + *Sym.TU +
+                      ") vs '" + structSig(*S) + "' (" + U.Name + ")");
     }
 
     for (const cminus::VarDecl *G : U.Program->Globals) {
-      std::string Sig = G->DeclaredTy->str();
       auto [It, Inserted] = Globals.try_emplace(G->Name);
-      SymInfo &Sym = It->second;
+      auto &Sym = It->second;
       if (Inserted) {
-        Sym = {Sig, U.Name, U.Name, true};
+        Sym = {G, &U.Name, &U.Name};
         continue;
       }
       // C-minus has no `extern`: every global is a definition, so a
       // shared global must live in exactly one TU.
       linkError(Diags, U, G->Loc,
-                Sym.Sig == Sig
-                    ? "duplicate definition of global '" + G->Name +
-                          "' (already defined in " + Sym.DefTU + ")"
-                    : "conflicting definitions of global '" + G->Name +
-                          "': '" + Sym.Sig + "' (" + Sym.DefTU + ") vs '" +
-                          Sig + "' (" + U.Name + ")");
+                cminus::Type::equals(Sym.First->DeclaredTy, G->DeclaredTy)
+                    ? "duplicate definition of global " + quoted(G->Name) +
+                          " (already defined in " + *Sym.DefTU + ")"
+                    : "conflicting definitions of global " + quoted(G->Name) +
+                          ": '" + Sym.First->DeclaredTy->str() + "' (" +
+                          *Sym.DefTU + ") vs '" + G->DeclaredTy->str() +
+                          "' (" + U.Name + ")");
     }
 
     for (const cminus::FuncDecl *F : U.Program->Functions) {
-      std::string Sig = funcSig(*F);
       auto [It, Inserted] = Functions.try_emplace(F->Name);
-      SymInfo &Sym = It->second;
+      auto &Sym = It->second;
       if (Inserted) {
-        Sym = {Sig, U.Name, F->isDefinition() ? U.Name : "",
-               F->isDefinition()};
+        Sym = {F, &U.Name, F->isDefinition() ? &U.Name : nullptr};
         continue;
       }
-      if (Sym.Sig != Sig) {
+      if (!sameSignature(*Sym.First, *F)) {
         // The load-bearing link diagnostic: a caller compiled against a
         // prototype whose qualifiers disagree with another TU's view
         // would silently subvert the checker's guarantees.
         linkError(Diags, U, F->Loc,
-                  "qualifier signature mismatch for function '" + F->Name +
-                      "': '" + Sym.Sig + "' (" + Sym.TU + ") vs '" + Sig +
-                      "' (" + U.Name + ")");
+                  "qualifier signature mismatch for function " +
+                      quoted(F->Name) + ": '" + signatureOf(*Sym.First) +
+                      "' (" + *Sym.TU + ") vs '" + signatureOf(*F) + "' (" +
+                      U.Name + ")");
         continue;
       }
       if (F->isDefinition()) {
-        if (Sym.Defined)
+        if (Sym.DefTU)
           linkError(Diags, U, F->Loc,
-                    "duplicate definition of function '" + F->Name +
-                        "' (already defined in " + Sym.DefTU + ")");
-        Sym.Defined = true;
-        if (Sym.DefTU.empty())
-          Sym.DefTU = U.Name;
+                    "duplicate definition of function " + quoted(F->Name) +
+                        " (already defined in " + *Sym.DefTU + ")");
+        else
+          Sym.DefTU = &U.Name;
       }
     }
   }

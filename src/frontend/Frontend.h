@@ -95,6 +95,13 @@ void remapDiagnostics(std::vector<Diagnostic> &Diags, size_t From,
 /// returns true when no link error was found.
 bool linkUnits(const std::vector<TUnit> &TUs, DiagnosticEngine &Diags);
 
+/// True when \p A and \p B declare the same full qualified signature:
+/// return type, parameter types and variadicness, compared structurally
+/// (the link step's test; equivalent to comparing signatureOf()).
+bool sameSignature(const cminus::FuncDecl &A, const cminus::FuncDecl &B);
+/// Renders \p F's signature as link diagnostics quote it.
+std::string signatureOf(const cminus::FuncDecl &F);
+
 } // namespace stq::frontend
 
 #endif // STQ_FRONTEND_FRONTEND_H

@@ -827,7 +827,7 @@ void inferenceScenario(Rng &R, uint64_t RunSeed, OracleContext &C) {
   F.Kind = "fixpoint-mismatch";
   F.RunSeed = RunSeed;
   F.Input = Stripped;
-  F.Detail = "'" + First->Name + "' at " + First->Loc.str() +
+  F.Detail = "'" + std::string(First->Name) + "' at " + First->Loc.str() +
              ": constraint engine infers " + List(QualsOf(Full, First)) +
              ", fixpoint reference infers " +
              List(QualsOf(Ref.Inferred, First));

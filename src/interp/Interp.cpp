@@ -65,6 +65,15 @@ private:
     Result.Status = RunStatus::Trap;
     Result.TrapMessage = Loc.str() + ": " + Message;
   }
+  /// Integer `+ - * / %` through intArith, trapping on an undefined result.
+  Value intBinary(BinaryOp Op, int64_t A, int64_t B, SourceLoc At) {
+    int64_t X = 0;
+    if (const char *Msg = intArith(Op, A, B, X)) {
+      trap(At, Msg);
+      return Value::makeInt(0);
+    }
+    return Value::makeInt(X);
+  }
   bool spendFuel() {
     ++Result.Steps;
     if (Result.Steps > Options.Fuel) {
@@ -85,7 +94,7 @@ private:
   uint32_t allocRawBlock(unsigned Cells, bool IsHeap);
   Value readLoc(Location Loc, SourceLoc At);
   void writeLoc(Location Loc, Value V, SourceLoc At);
-  int64_t fieldOffset(const TypePtr &StructTy, const std::string &Field,
+  int64_t fieldOffset(TypePtr StructTy, std::string_view Field,
                       TypePtr &FieldTyOut, SourceLoc At);
 
   // Evaluation.
@@ -211,8 +220,7 @@ void Interpreter::writeLoc(Location Loc, Value V, SourceLoc At) {
   B.Cells[Loc.Off] = V;
 }
 
-int64_t Interpreter::fieldOffset(const TypePtr &StructTy,
-                                 const std::string &Field,
+int64_t Interpreter::fieldOffset(TypePtr StructTy, std::string_view Field,
                                  TypePtr &FieldTyOut, SourceLoc At) {
   TypePtr Bare = Type::withoutQuals(StructTy);
   if (!Bare->isStruct()) {
@@ -232,7 +240,8 @@ int64_t Interpreter::fieldOffset(const TypePtr &StructTy,
     }
     Off += sizeOfType(Fd.Ty);
   }
-  trap(At, "struct '" + Def->Name + "' has no field '" + Field + "'");
+  trap(At, "struct '" + std::string(Def->Name) + "' has no field '" +
+               std::string(Field) + "'");
   return 0;
 }
 
@@ -244,7 +253,7 @@ std::optional<Location> Interpreter::evalLValue(const LValue *LV, Frame &F) {
   if (!spendFuel())
     return std::nullopt;
   Location Loc;
-  TypePtr CurTy;
+  TypePtr CurTy = nullptr;
   if (LV->isVar()) {
     auto Local = F.find(LV->Var);
     if (Local != F.end()) {
@@ -252,7 +261,7 @@ std::optional<Location> Interpreter::evalLValue(const LValue *LV, Frame &F) {
     } else {
       auto Glob = Globals.find(LV->Var);
       if (Glob == Globals.end()) {
-        trap(LV->Loc, "unbound variable '" + LV->Var->Name + "'");
+        trap(LV->Loc, "unbound variable '" + std::string(LV->Var->Name) + "'");
         return std::nullopt;
       }
       Loc.Block = Glob->second;
@@ -277,8 +286,8 @@ std::optional<Location> Interpreter::evalLValue(const LValue *LV, Frame &F) {
     CurTy = (AddrTy && AddrTy->isPointer()) ? AddrTy->pointee()
                                             : Type::getInt();
   }
-  for (const std::string &Field : LV->Fields) {
-    TypePtr FieldTy;
+  for (std::string_view Field : LV->Fields) {
+    TypePtr FieldTy = nullptr;
     Loc.Off += fieldOffset(CurTy, Field, FieldTy, LV->Loc);
     if (Halted)
       return std::nullopt;
@@ -335,7 +344,7 @@ Value Interpreter::evalExpr(const Expr *E, Frame &F) {
         trap(E->Loc, "negation of non-integer");
         return Value::makeInt(0);
       }
-      return Value::makeInt(-V.Int);
+      return Value::makeInt(intNeg(V.Int));
     case UnaryOp::Not:
       return Value::makeInt(V.isTruthy() ? 0 : 1);
     case UnaryOp::BitNot:
@@ -377,7 +386,7 @@ Value Interpreter::evalExpr(const Expr *E, Frame &F) {
       if (L.K == Value::Kind::Int && R.K == Value::Kind::Ptr)
         return Value::makePtr(R.Block, R.Off + L.Int);
       if (L.K == Value::Kind::Int && R.K == Value::Kind::Int)
-        return Value::makeInt(L.Int + R.Int);
+        return intBinary(Bin->Op, L.Int, R.Int, E->Loc);
       trap(E->Loc, "invalid operands to '+'");
       return Value::makeInt(0);
     case BinaryOp::Sub:
@@ -391,7 +400,7 @@ Value Interpreter::evalExpr(const Expr *E, Frame &F) {
         return Value::makeInt(L.Off - R.Off);
       }
       if (L.K == Value::Kind::Int && R.K == Value::Kind::Int)
-        return Value::makeInt(L.Int - R.Int);
+        return intBinary(Bin->Op, L.Int, R.Int, E->Loc);
       trap(E->Loc, "invalid operands to '-'");
       return Value::makeInt(0);
     case BinaryOp::Mul:
@@ -401,14 +410,7 @@ Value Interpreter::evalExpr(const Expr *E, Frame &F) {
         trap(E->Loc, "arithmetic on non-integers");
         return Value::makeInt(0);
       }
-      if (Bin->Op == BinaryOp::Mul)
-        return Value::makeInt(L.Int * R.Int);
-      if (R.Int == 0) {
-        trap(E->Loc, "division by zero");
-        return Value::makeInt(0);
-      }
-      return Value::makeInt(Bin->Op == BinaryOp::Div ? L.Int / R.Int
-                                                     : L.Int % R.Int);
+      return intBinary(Bin->Op, L.Int, R.Int, E->Loc);
     }
     default:
       return Value::makeInt(compareValues(Bin->Op, L, R) ? 1 : 0);
@@ -583,7 +585,8 @@ Value Interpreter::evalCall(const CallExpr *Call, Frame &F) {
       (Fn && Fn->Variadic && !Fn->Params.empty() &&
        Type::withoutQuals(Fn->Params[0]->DeclaredTy)->isPointer()))
     return doPrintf(Call, Args);
-  trap(Call->Loc, "call to undefined function '" + Call->CalleeName + "'");
+  trap(Call->Loc,
+       "call to undefined function '" + std::string(Call->CalleeName) + "'");
   return Value::makeInt(0);
 }
 

@@ -29,6 +29,7 @@
 #include "support/Diagnostics.h"
 
 #include <cstdint>
+#include <limits>
 #include <functional>
 #include <map>
 #include <optional>
@@ -134,6 +135,43 @@ struct InterpOptions {
 /// block, pointers compare by (block, offset). Shared with the bytecode VM
 /// (src/vm) so both engines agree on comparisons by construction.
 bool compareValues(cminus::BinaryOp Op, const Value &L, const Value &R);
+
+/// The integer semantics of `+ - * / %` for both engines, with no host UB:
+/// `+ - *` wrap modulo 2^64 (the engines' integers are two's-complement
+/// 64-bit), and a division or remainder whose result is undefined is a
+/// trap. Returns null and stores the result in \p Out, or returns the trap
+/// message: "division by zero", or "division overflow" for
+/// INT64_MIN / -1 and INT64_MIN % -1.
+inline const char *intArith(cminus::BinaryOp Op, int64_t A, int64_t B,
+                            int64_t &Out) {
+  auto Wrap = [](uint64_t X) { return static_cast<int64_t>(X); };
+  switch (Op) {
+  case cminus::BinaryOp::Add:
+    Out = Wrap(static_cast<uint64_t>(A) + static_cast<uint64_t>(B));
+    return nullptr;
+  case cminus::BinaryOp::Sub:
+    Out = Wrap(static_cast<uint64_t>(A) - static_cast<uint64_t>(B));
+    return nullptr;
+  case cminus::BinaryOp::Mul:
+    Out = Wrap(static_cast<uint64_t>(A) * static_cast<uint64_t>(B));
+    return nullptr;
+  case cminus::BinaryOp::Div:
+  case cminus::BinaryOp::Rem:
+    if (B == 0)
+      return "division by zero";
+    if (A == std::numeric_limits<int64_t>::min() && B == -1)
+      return "division overflow";
+    Out = Op == cminus::BinaryOp::Div ? A / B : A % B;
+    return nullptr;
+  default:
+    return "not an arithmetic operator";
+  }
+}
+
+/// Integer negation, wrapping like intArith (-INT64_MIN is INT64_MIN).
+inline int64_t intNeg(int64_t A) {
+  return static_cast<int64_t>(0 - static_cast<uint64_t>(A));
+}
 
 /// Evaluates a value-qualifier invariant against a concrete value \p V.
 /// \p IsHeapBlock answers whether a block id names a heap allocation (the

@@ -34,6 +34,13 @@ void emitMetrics(Session &S, const Invocation &Inv, std::ostream &Out) {
     S.emitMetrics(Out, Inv.MetricsFormat);
 }
 
+/// Frees a multi-input run's translation units under
+/// phase.teardown_seconds, so --metrics shows what dropping them costs.
+void releaseUnits(Session &S, std::vector<frontend::TUnit> &Units) {
+  stats::ScopedTimer Timer(&S.metrics(), "phase.teardown_seconds");
+  std::vector<frontend::TUnit>().swap(Units);
+}
+
 int execProve(Session &S, const Invocation &Inv, std::ostream &Out,
               std::ostream &Err) {
   if (!S.loadQualifiers()) {
@@ -92,6 +99,7 @@ int execCheckFiles(Session &S, const Invocation &Inv, std::ostream &Out,
                    std::ostream &Err) {
   Session::CheckFilesOutcome OutC = S.checkFiles(Inv.Inputs);
   reportDiagnostics(S, Inv, Err);
+  releaseUnits(S, OutC.Load.Units);
   if (S.diags().hasErrors()) {
     emitMetrics(S, Inv, Out);
     return 2;
@@ -108,6 +116,7 @@ int execRecheckFiles(Session &S, const Invocation &Inv, std::ostream &Out,
                      std::ostream &Err) {
   Session::RecheckFilesOutcome OutC = S.recheckFiles(Inv.Inputs);
   reportDiagnostics(S, Inv, Err);
+  releaseUnits(S, OutC.Load.Units);
   if (S.diags().hasErrors()) {
     emitMetrics(S, Inv, Out);
     return 2;

@@ -149,7 +149,7 @@ private:
 
   /// Precomputed cell image of allocBlockForType(Ty).
   uint32_t internTemplate(const TypePtr &Ty) {
-    auto [It, Inserted] = TemplateIndex.emplace(Ty.get(), 0);
+    auto [It, Inserted] = TemplateIndex.emplace(Ty, 0);
     if (!Inserted)
       return It->second;
     std::vector<Value> Cells(std::max(1u, sizeOfType(Ty)),
@@ -367,7 +367,7 @@ private:
 
   FieldRes resolveFields(TypePtr CurTy, const LValue *LV) {
     FieldRes R;
-    for (const std::string &Field : LV->Fields) {
+    for (std::string_view Field : LV->Fields) {
       if (!CurTy)
         CurTy = Type::getInt();
       TypePtr Bare = Type::withoutQuals(CurTy);
@@ -383,7 +383,7 @@ private:
         return R;
       }
       int64_t Off = 0;
-      TypePtr FieldTy;
+      TypePtr FieldTy = nullptr;
       bool Found = false;
       for (const StructDef::Field &Fd : Def->Fields) {
         if (Fd.Name == Field) {
@@ -395,7 +395,8 @@ private:
       }
       if (!Found) {
         R.Error = true;
-        R.Msg = "struct '" + Def->Name + "' has no field '" + Field + "'";
+        R.Msg = "struct '" + std::string(Def->Name) + "' has no field '" +
+                std::string(Field) + "'";
         return R;
       }
       R.Off += Off;
@@ -496,7 +497,7 @@ private:
         emit(I);
       } else {
         emitTrapMsg(Call->Loc, "call to undefined function '" +
-                                   Call->CalleeName + "'");
+                                   std::string(Call->CalleeName) + "'");
       }
     }
     RegTop = Dst + 1u;

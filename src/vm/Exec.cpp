@@ -58,14 +58,17 @@ inline bool fastIntBinary(BinaryOp Op, const Value &L, const Value &R,
   int64_t A = L.Int, B = R.Int;
   switch (Op) {
   case BinaryOp::Add:
-    Out = Value::makeInt(A + B);
-    return true;
   case BinaryOp::Sub:
-    Out = Value::makeInt(A - B);
-    return true;
   case BinaryOp::Mul:
-    Out = Value::makeInt(A * B);
+  case BinaryOp::Div:
+  case BinaryOp::Rem: {
+    // A trap (division by zero or overflow) is the slow path's to report.
+    int64_t X;
+    if (interp::intArith(Op, A, B, X))
+      return false;
+    Out = Value::makeInt(X);
     return true;
+  }
   case BinaryOp::Lt:
     Out = Value::makeInt(A < B ? 1 : 0);
     return true;
@@ -83,16 +86,6 @@ inline bool fastIntBinary(BinaryOp Op, const Value &L, const Value &R,
     return true;
   case BinaryOp::Ne:
     Out = Value::makeInt(A != B ? 1 : 0);
-    return true;
-  case BinaryOp::Div:
-    if (B == 0)
-      return false; // Slow path owns the division-by-zero trap.
-    Out = Value::makeInt(A / B);
-    return true;
-  case BinaryOp::Rem:
-    if (B == 0)
-      return false;
-    Out = Value::makeInt(A % B);
     return true;
   default:
     return false;
@@ -168,6 +161,15 @@ private:
     Halted = true;
     Result.Status = RunStatus::Trap;
     Result.TrapMessage = Loc.str() + ": " + Message;
+  }
+  /// Integer `+ - * / %` through intArith, trapping on an undefined result.
+  Value intBinary(BinaryOp Op, int64_t A, int64_t B, SourceLoc At) {
+    int64_t X = 0;
+    if (const char *Msg = interp::intArith(Op, A, B, X)) {
+      trap(At, Msg);
+      return Value::makeInt(0);
+    }
+    return Value::makeInt(X);
   }
 
   bool isHeapBlock(uint32_t Block) const {
@@ -347,7 +349,7 @@ private:
       if (L.K == Value::Kind::Int && R.K == Value::Kind::Ptr)
         return Value::makePtr(R.Block, R.Off + L.Int);
       if (L.K == Value::Kind::Int && R.K == Value::Kind::Int)
-        return Value::makeInt(L.Int + R.Int);
+        return intBinary(Op, L.Int, R.Int, At);
       trap(At, "invalid operands to '+'");
       return Value::makeInt(0);
     case BinaryOp::Sub:
@@ -361,7 +363,7 @@ private:
         return Value::makeInt(L.Off - R.Off);
       }
       if (L.K == Value::Kind::Int && R.K == Value::Kind::Int)
-        return Value::makeInt(L.Int - R.Int);
+        return intBinary(Op, L.Int, R.Int, At);
       trap(At, "invalid operands to '-'");
       return Value::makeInt(0);
     case BinaryOp::Mul:
@@ -371,14 +373,7 @@ private:
         trap(At, "arithmetic on non-integers");
         return Value::makeInt(0);
       }
-      if (Op == BinaryOp::Mul)
-        return Value::makeInt(L.Int * R.Int);
-      if (R.Int == 0) {
-        trap(At, "division by zero");
-        return Value::makeInt(0);
-      }
-      return Value::makeInt(Op == BinaryOp::Div ? L.Int / R.Int
-                                                : L.Int % R.Int);
+      return intBinary(Op, L.Int, R.Int, At);
     }
     default:
       return Value::makeInt(interp::compareValues(Op, L, R) ? 1 : 0);
@@ -449,7 +444,7 @@ private:
             Block = Slots[SlotBase + I.Extra];
             if (Block == 0) {
               trap(I.At, "unbound variable '" +
-                             CurFn.SlotVars[I.Extra]->Name + "'");
+                             std::string(CurFn.SlotVars[I.Extra]->Name) + "'");
               Result.Steps = Steps;
               return;
             }
@@ -496,7 +491,7 @@ private:
             Block = Slots[SlotBase + I.Extra];
             if (Block == 0) {
               trap(I.At, "unbound variable '" +
-                             CurFn.SlotVars[I.Extra]->Name + "'");
+                             std::string(CurFn.SlotVars[I.Extra]->Name) + "'");
               Result.Steps = Steps;
               return;
             }
@@ -579,7 +574,7 @@ private:
             Block = Slots[SlotBase + I.Extra];
             if (Block == 0) {
               trap(I.At, "unbound variable '" +
-                             CurFn.SlotVars[I.Extra]->Name + "'");
+                             std::string(CurFn.SlotVars[I.Extra]->Name) + "'");
               Result.Steps = Steps;
               return;
             }
@@ -625,7 +620,7 @@ private:
               Result.Steps = Steps;
               return;
             }
-            R[I.A] = Value::makeInt(-V.Int);
+            R[I.A] = Value::makeInt(interp::intNeg(V.Int));
             break;
           case UnaryOp::Not:
             R[I.A] = Value::makeInt(V.isTruthy() ? 0 : 1);

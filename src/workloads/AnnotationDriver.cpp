@@ -30,7 +30,7 @@ struct AnnotTarget {
   Kind K = Kind::None;
   VarDecl *Var = nullptr;
   StructDef *Def = nullptr;
-  std::string Field;
+  std::string_view Field;
 
   bool valid() const { return K != Kind::None; }
   bool operator<(const AnnotTarget &O) const {
@@ -41,7 +41,7 @@ struct AnnotTarget {
 
 /// Resolves the struct definition owning the last field of \p LV.
 StructDef *structOfLastField(const Program &Prog, const LValue *LV) {
-  TypePtr Cur;
+  TypePtr Cur = nullptr;
   if (LV->isVar())
     Cur = LV->Var->DeclaredTy;
   else if (LV->Addr->Ty && Type::withoutQuals(LV->Addr->Ty)->isPointer())

@@ -6,8 +6,12 @@
 #include "cminus/Printer.h"
 #include "cminus/Sema.h"
 #include "cminus/Type.h"
+#include "support/ThreadPool.h"
+#include "workloads/AnnotationDriver.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 using namespace stq;
 using namespace stq::cminus;
@@ -638,6 +642,177 @@ TEST(Printer, ForLoopRoundTrips) {
   DiagnosticEngine D2;
   auto P2 = parseProgram(Printed, Quals, D2);
   EXPECT_FALSE(D2.hasErrors()) << Printed;
+}
+
+//===----------------------------------------------------------------------===//
+// Ownership: interned types and per-unit arenas
+//===----------------------------------------------------------------------===//
+
+TEST(TypeOwnership, WithQualTwiceReturnsTheSameNode) {
+  TypePtr A = Type::withQual(Type::getInt(), "pos");
+  EXPECT_EQ(Type::withQual(Type::getInt(), "pos"), A);
+  EXPECT_EQ(Type::withQuals(Type::getInt(), {"pos", "pos"}), A);
+  Program P;
+  TypeContext &T = P.types();
+  TypePtr B = T.withQual(T.getInt(), "pos");
+  EXPECT_EQ(T.withQual(T.getInt(), "pos"), B);
+  EXPECT_EQ(Type::withQual(T.getInt(), "pos"), B);
+  // One node per distinct type per context: the unit's own copy.
+  EXPECT_NE(A, B);
+  EXPECT_EQ(&B->context(), &T);
+  EXPECT_TRUE(Type::equals(A, B));
+}
+
+TEST(TypeOwnership, UnqualifiedFormsAreCachedLinks) {
+  Program P;
+  TypeContext &T = P.types();
+  TypePtr Ty = T.withQual(T.getPointer(T.withQual(T.getInt(), "pos")),
+                          "unique");
+  size_t Before = T.size();
+  TypePtr U = Type::withoutQuals(Ty);
+  TypePtr D = Type::deepUnqualified(Ty);
+  EXPECT_EQ(Type::withoutQuals(Ty), U);
+  EXPECT_EQ(Type::deepUnqualified(Ty), D);
+  EXPECT_EQ(Type::deepUnqualified(U), D);
+  EXPECT_EQ(Type::withoutQuals(D), D);
+  EXPECT_EQ(T.size(), Before) << "stripping qualifiers created a type";
+  EXPECT_EQ(U, T.getPointer(T.withQual(T.getInt(), "pos")));
+  EXPECT_EQ(D, T.getPointer(T.getInt()));
+  EXPECT_EQ(T.size(), Before);
+  // A type that needs no stripping is its own link.
+  TypePtr Int = T.getInt();
+  EXPECT_EQ(Type::withoutQuals(Int), Int);
+  EXPECT_EQ(Type::deepUnqualified(Int), Int);
+}
+
+/// Builds the same assortment of types in \p T.
+std::vector<TypePtr> assortedTypes(TypeContext &T) {
+  TypePtr Int = T.getInt(), Char = T.getChar();
+  TypePtr Pos = T.withQual(Int, "pos");
+  TypePtr PosNz = T.withQual(Pos, "nonzero");
+  TypePtr S = T.getStruct("dfa");
+  return {Int,
+          Char,
+          T.getVoid(),
+          Pos,
+          PosNz,
+          T.withQual(Char, "untainted"),
+          T.getPointer(Int),
+          T.getPointer(Pos),
+          T.withQual(T.getPointer(Int), "nonnull"),
+          T.withQual(T.getPointer(Pos), "nonnull"),
+          S,
+          T.getPointer(S),
+          T.getStruct("other"),
+          T.getFunction(Pos, std::vector<TypePtr>{Int, T.getPointer(Char)},
+                        false),
+          T.getFunction(Pos, std::vector<TypePtr>{Int, T.getPointer(Char)},
+                        true),
+          T.getFunction(Int, std::vector<TypePtr>{Int, T.getPointer(Char)},
+                        false)};
+}
+
+TEST(TypeOwnership, EqualityAndSubtypingAgreeAcrossContexts) {
+  Program P1, P2;
+  std::vector<TypePtr> A = assortedTypes(P1.types());
+  std::vector<TypePtr> B = assortedTypes(P2.types());
+  std::vector<TypePtr> C = assortedTypes(TypeContext::process());
+  for (size_t I = 0; I < A.size(); ++I) {
+    for (size_t J = 0; J < A.size(); ++J) {
+      // Within one context equality is identity.
+      bool Eq = Type::equals(A[I], A[J]);
+      EXPECT_EQ(Eq, A[I] == A[J]) << A[I]->str() << " / " << A[J]->str();
+      EXPECT_EQ(Eq, A[I]->str() == A[J]->str());
+      EXPECT_EQ(Type::equals(A[I], B[J]), Eq);
+      EXPECT_EQ(Type::equals(C[I], A[J]), Eq);
+      bool Sub = Type::isSubtypeOf(A[I], A[J]);
+      EXPECT_EQ(Type::isSubtypeOf(A[I], B[J]), Sub);
+      EXPECT_EQ(Type::isSubtypeOf(B[I], C[J]), Sub);
+      EXPECT_EQ(Type::equalsIgnoringTopQuals(A[I], B[J]),
+                Type::equalsIgnoringTopQuals(A[I], A[J]));
+    }
+  }
+}
+
+TEST(TypeOwnership, DerivedTypesStayInTheirUnitsContext) {
+  Program P;
+  TypeContext &T = P.types();
+  TypePtr Int = Type::getInt();
+  size_t ProcessBefore = TypeContext::process().size();
+  TypePtr Ptr = Type::getPointer(T.withQual(T.getChar(), "tainted"));
+  TypePtr Q = Type::withQual(Ptr, "nonnull");
+  TypePtr Fn = Type::getFunction(Int, {Q}, false);
+  EXPECT_EQ(&Ptr->context(), &T);
+  EXPECT_EQ(&Q->context(), &T);
+  // A function over a unit's types lives in the unit; its process-context
+  // return type is imported rather than referenced.
+  EXPECT_EQ(&Fn->context(), &T);
+  EXPECT_EQ(&Fn->returnType()->context(), &T);
+  EXPECT_EQ(Fn->str(), "int (char tainted* nonnull)");
+  EXPECT_EQ(TypeContext::process().size(), ProcessBefore);
+}
+
+TEST(TypeOwnership, ProgramBuiltOnAPoolHelperDiesOnTheCaller) {
+  // Session::load front-ends every TU on a pool helper and frees it on the
+  // caller; the arena (and every type in it) must not care which thread.
+  std::unique_ptr<Program> Prog;
+  DiagnosticEngine Diags;
+  std::thread::id Builder;
+  {
+    ThreadPool Pool(1);
+    TaskGroup Group(Pool);
+    Group.submit([&] {
+      Builder = std::this_thread::get_id();
+      Prog = frontendOk("struct pt { int pos x; char* y; };\n"
+                        "int pos twice(int pos a) { return a + a; }\n"
+                        "int main() { struct pt* p = malloc(sizeof(struct "
+                        "pt));\n"
+                        "  p->x = twice(3); return p->x; }\n",
+                        Diags);
+    });
+    Group.wait();
+  }
+  EXPECT_NE(Builder, std::this_thread::get_id());
+  ASSERT_TRUE(Prog);
+  EXPECT_FALSE(Diags.hasErrors());
+  FuncDecl *Twice = Prog->findFunction("twice");
+  ASSERT_NE(Twice, nullptr);
+  EXPECT_EQ(Twice->RetTy->str(), "int pos");
+  EXPECT_EQ(&Twice->RetTy->context(), &Prog->types());
+  Prog.reset();
+}
+
+TEST(TypeOwnership, AnnotationLoopMatchesRecordedRows) {
+  // The annotation driver adds qualifiers to declared types in the unit's
+  // context, calls resetComputedTypes, and re-runs Sema until a fixpoint;
+  // every row field is pinned, so a type or reset the loop loses shows.
+  for (bool FlowSensitive : {false, true}) {
+    workloads::Table1Row R =
+        workloads::runNonnullExperiment(workloads::makeGrepDfa(),
+                                        FlowSensitive);
+    EXPECT_EQ(R.Lines, 1939u);
+    EXPECT_EQ(R.Dereferences, 884u);
+    EXPECT_EQ(R.Annotations, FlowSensitive ? 60u : 110u);
+    EXPECT_EQ(R.Casts, FlowSensitive ? 12u : 62u);
+    EXPECT_EQ(R.Errors, 0u);
+    EXPECT_EQ(R.Iterations, 4u);
+    EXPECT_EQ(R.InitialErrors, FlowSensitive ? 759u : 884u);
+  }
+  struct Taint {
+    workloads::GeneratedWorkload W;
+    unsigned Lines, Printfs, Annotations, Errors;
+  };
+  const Taint Rows[] = {{workloads::makeBftpd(), 963, 134, 2, 1},
+                        {workloads::makeMingetty(), 437, 23, 1, 0},
+                        {workloads::makeIdentd(), 208, 21, 0, 0}};
+  for (const Taint &T : Rows) {
+    workloads::Table2Row R = workloads::runUntaintedExperiment(T.W);
+    EXPECT_EQ(R.Lines, T.Lines);
+    EXPECT_EQ(R.PrintfCalls, T.Printfs);
+    EXPECT_EQ(R.Annotations, T.Annotations);
+    EXPECT_EQ(R.Casts, 0u);
+    EXPECT_EQ(R.Errors, T.Errors);
+  }
 }
 
 } // namespace

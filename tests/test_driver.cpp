@@ -9,6 +9,7 @@
 #include "driver/OptionTable.h"
 #include "driver/Session.h"
 #include "qual/Builtins.h"
+#include "server/Exec.h"
 #include "support/Trace.h"
 #include "workloads/Workloads.h"
 
@@ -565,6 +566,26 @@ TEST(Session, TracedMultiTuCheckUsesAtMostJobsThreads) {
     Tids.insert(E.Tid);
   EXPECT_FALSE(Events.empty());
   EXPECT_LE(Tids.size(), 4u);
+}
+
+TEST(Session, MultiInputCheckTimesTeardownOnce) {
+  // `stqc check` over several inputs frees every TU's arena under
+  // phase.teardown_seconds before it emits metrics: exactly one sample.
+  workloads::MultiTuProgram P = workloads::makeMultiTuFarm(4, 3, 3);
+  server::Invocation Inv;
+  Inv.Command = "check";
+  for (const auto &H : P.Headers)
+    Inv.Files[H.Name] = H.Text;
+  Inv.HasFiles = true;
+  for (const auto &U : P.Units)
+    Inv.Inputs.push_back({U.Name, U.Text});
+  Inv.Session.Builtins = {"pos", "neg"};
+  Inv.Session.IncludeDirs = {"."};
+  Inv.Metrics = true;
+  server::ExecResult R = server::executeInvocation(Inv);
+  EXPECT_EQ(R.ExitCode, 1) << R.Err;
+  EXPECT_NE(R.Out.find("phase.teardown_seconds: count=1 "), std::string::npos)
+      << R.Out;
 }
 
 } // namespace

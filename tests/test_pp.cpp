@@ -1150,53 +1150,162 @@ TEST(Frontend, RemapKeepsOrderAndFollowsEachDiagnosticWithItsNotes) {
                  }));
 }
 
-TEST(Frontend, LinkAcceptsAgreeingPrototype) {
+/// Compiles each (name, text) pair as its own TU and links them; returns
+/// every link diagnostic rendered as stqc prints it.
+std::vector<std::string>
+linkMessages(const std::vector<std::pair<std::string, std::string>> &Srcs,
+             bool ExpectOk) {
   frontend::CompileOptions CO = compileOpts();
-  DiagnosticEngine D1, D2;
   std::vector<frontend::TUnit> TUs;
-  TUs.push_back(frontend::compileUnit(
-      "def.c", "int pos f(int pos a) { return a; }\n", CO, D1));
-  TUs.push_back(frontend::compileUnit(
-      "use.c", "int pos f(int pos a);\nint main() { return f(3) % 2; }\n", CO,
-      D2));
-  ASSERT_TRUE(TUs[0].FrontEndOk);
-  ASSERT_TRUE(TUs[1].FrontEndOk);
+  for (const auto &[Name, Text] : Srcs) {
+    DiagnosticEngine D;
+    TUs.push_back(frontend::compileUnit(Name, Text, CO, D));
+    EXPECT_TRUE(TUs.back().FrontEndOk) << Name;
+  }
   DiagnosticEngine Link;
-  EXPECT_TRUE(frontend::linkUnits(TUs, Link));
-  EXPECT_EQ(Link.countInPhase("link"), 0u);
+  EXPECT_EQ(frontend::linkUnits(TUs, Link), ExpectOk);
+  std::vector<std::string> Out;
+  for (const Diagnostic &D : Link.diagnostics()) {
+    EXPECT_EQ(D.Phase, "link");
+    Out.push_back(D.str());
+  }
+  return Out;
+}
+
+TEST(Frontend, LinkAcceptsAgreeingPrototype) {
+  EXPECT_EQ(
+      linkMessages({{"def.c", "int pos f(int pos a) { return a; }\n"},
+                    {"use.c", "int pos f(int pos a);\n"
+                              "int main() { return f(3) % 2; }\n"}},
+                   true),
+      std::vector<std::string>{});
 }
 
 TEST(Frontend, LinkRejectsQualifierSignatureMismatch) {
-  frontend::CompileOptions CO = compileOpts();
-  DiagnosticEngine D1, D2;
-  std::vector<frontend::TUnit> TUs;
-  TUs.push_back(frontend::compileUnit(
-      "def.c", "int pos f(int pos a) { return a; }\n", CO, D1));
   // The caller's prototype drops the return qualifier: exactly the
   // cross-TU bug the link step exists to catch.
-  TUs.push_back(frontend::compileUnit(
-      "use.c", "int f(int pos a);\nint main() { return f(3) % 2; }\n", CO,
-      D2));
-  ASSERT_TRUE(TUs[0].FrontEndOk);
-  ASSERT_TRUE(TUs[1].FrontEndOk);
-  DiagnosticEngine Link;
-  EXPECT_FALSE(frontend::linkUnits(TUs, Link));
-  EXPECT_GE(Link.countInPhase("link"), 1u);
+  EXPECT_EQ(
+      linkMessages({{"def.c", "int pos f(int pos a) { return a; }\n"},
+                    {"use.c", "int f(int pos a);\n"
+                              "int main() { return f(3) % 2; }\n"}},
+                   false),
+      std::vector<std::string>{
+          "use.c:1:1: error [link]: qualifier signature mismatch for "
+          "function 'f': 'int pos (int pos)' (def.c) vs 'int (int pos)' "
+          "(use.c)"});
 }
 
 TEST(Frontend, LinkRejectsDuplicateDefinition) {
-  frontend::CompileOptions CO = compileOpts();
-  DiagnosticEngine D1, D2;
+  EXPECT_EQ(
+      linkMessages({{"one.c", "int pos f(int pos a) { return a; }\n"},
+                    {"two.c", "int pos f(int pos a) { return a * a; }\n"}},
+                   false),
+      std::vector<std::string>{"two.c:1:1: error [link]: duplicate "
+                               "definition of function 'f' (already "
+                               "defined in one.c)"});
+}
+
+TEST(Frontend, LinkRejectsConflictingGlobals) {
+  EXPECT_EQ(linkMessages({{"a.c", "int pos g = 1;\nint* h;\n"},
+                          {"b.c", "int g = 2;\nint* h;\n"}},
+                         false),
+            (std::vector<std::string>{
+                "b.c:1:1: error [link]: conflicting definitions of global "
+                "'g': 'int pos' (a.c) vs 'int' (b.c)",
+                "b.c:2:1: error [link]: duplicate definition of global 'h' "
+                "(already defined in a.c)"}));
+}
+
+TEST(Frontend, LinkRejectsConflictingStructs) {
+  EXPECT_EQ(
+      linkMessages({{"a.c", "struct s { int a; char* b; };\n"},
+                    {"b.c", "struct s { int a; char* b; };\n"},
+                    {"c.c", "struct s { int pos a; char* b; };\n"}},
+                   false),
+      std::vector<std::string>{
+          "c.c:1:1: error [link]: conflicting definitions of struct 's': "
+          "'{ int a; char* b; }' (a.c) vs '{ int pos a; char* b; }' (c.c)"});
+}
+
+/// Collects every declared type of \p P.
+void collectTypes(const cminus::Program &P,
+                  std::vector<cminus::TypePtr> &Out) {
+  for (const cminus::VarDecl *G : P.Globals)
+    Out.push_back(G->DeclaredTy);
+  for (const cminus::StructDef *S : P.Structs)
+    for (const auto &F : S->Fields)
+      Out.push_back(F.Ty);
+  for (const cminus::FuncDecl *F : P.Functions) {
+    Out.push_back(F->RetTy);
+    for (const cminus::VarDecl *Param : F->Params)
+      Out.push_back(Param->DeclaredTy);
+  }
+}
+
+TEST(Frontend, StructuralLinkVerdictMatchesRenderedSignatures) {
+  // The link step compares declarations structurally instead of by their
+  // rendered spelling; over random pairs drawn from two farm TUs (each with
+  // its own type context), both verdicts must agree.
+  workloads::FarmSpec Spec;
+  Spec.Units = 4;
+  Spec.FnsPerUnit = 16;
+  Spec.Seed = 3;
+  Spec.CallFanOut = 3;
+  pp::FileMap Headers = {{"farm.h", workloads::makeFarmHeader(Spec)}};
+  frontend::CompileOptions CO = compileOpts(&Headers);
   std::vector<frontend::TUnit> TUs;
+  for (unsigned U = 1; U < Spec.Units; U += 2) {
+    workloads::MultiTuProgram::File F = workloads::makeFarmUnit(Spec, U);
+    DiagnosticEngine D;
+    TUs.push_back(frontend::compileUnit(F.Name, F.Text, CO, D));
+    ASSERT_TRUE(TUs.back().FrontEndOk) << F.Name;
+  }
+  // Prototypes whose signatures differ from the farm's in one place each.
+  DiagnosticEngine VD;
   TUs.push_back(frontend::compileUnit(
-      "one.c", "int pos f(int pos a) { return a; }\n", CO, D1));
-  TUs.push_back(frontend::compileUnit(
-      "two.c", "int pos f(int pos a) { return a * a; }\n", CO, D2));
-  ASSERT_TRUE(TUs[0].FrontEndOk);
-  ASSERT_TRUE(TUs[1].FrontEndOk);
-  DiagnosticEngine Link;
-  EXPECT_FALSE(frontend::linkUnits(TUs, Link));
-  EXPECT_GE(Link.countInPhase("link"), 1u);
+      "variants.c",
+      "int f0(int pos a);\nint pos f1(int a);\nint pos f2(int pos a, ...);\n"
+      "int pos f3(int pos a, int b);\nint pos* f4(int pos a);\n"
+      "void f5(void);\nvoid f6(...);\nchar* neg f7(char* pos* p);\n",
+      CO, VD));
+  ASSERT_TRUE(TUs.back().FrontEndOk);
+  std::vector<cminus::TypePtr> Types;
+  std::vector<const cminus::FuncDecl *> Fns;
+  for (const frontend::TUnit &U : TUs) {
+    collectTypes(*U.Program, Types);
+    Fns.insert(Fns.end(), U.Program->Functions.begin(),
+               U.Program->Functions.end());
+  }
+  // Derived types widen the pool: qualifier sets the farm leaves out.
+  size_t Declared = Types.size();
+  for (size_t I = 0; I < Declared; ++I) {
+    Types.push_back(cminus::Type::withQual(Types[I], "neg"));
+    Types.push_back(cminus::Type::getPointer(Types[I]));
+  }
+  std::mt19937 Rng(3);
+  unsigned Equal = 0;
+  for (unsigned I = 0; I < 4000; ++I) {
+    cminus::TypePtr A = Types[Rng() % Types.size()];
+    cminus::TypePtr B = Types[Rng() % Types.size()];
+    bool Same = A->str() == B->str();
+    Equal += Same;
+    EXPECT_EQ(cminus::Type::equals(A, B), Same)
+        << A->str() << " vs " << B->str();
+  }
+  unsigned SameSig = 0;
+  for (unsigned I = 0; I < 4000; ++I) {
+    const cminus::FuncDecl *F = Fns[Rng() % Fns.size()];
+    const cminus::FuncDecl *G = Fns[Rng() % Fns.size()];
+    bool Same = frontend::signatureOf(*F) == frontend::signatureOf(*G);
+    SameSig += Same;
+    EXPECT_EQ(frontend::sameSignature(*F, *G), Same)
+        << frontend::signatureOf(*F) << " vs " << frontend::signatureOf(*G);
+  }
+  // Both outcomes occur, so neither verdict is vacuous.
+  EXPECT_GT(Equal, 0u);
+  EXPECT_LT(Equal, 4000u);
+  EXPECT_GT(SameSig, 0u);
+  EXPECT_LT(SameSig, 4000u);
 }
 
 } // namespace

@@ -944,6 +944,43 @@ TEST(ServerEndToEnd, StatusReportsServerMetrics) {
   EXPECT_NE(Resp.Out.find("prover.cache.entries"), std::string::npos);
 }
 
+TEST(ServerEndToEnd, DivisionOverflowRunLeavesServerAnswering) {
+  // INT64_MIN / -1 and % -1 once raised SIGFPE inside the daemon; now they
+  // trap like a division by zero and the server keeps answering.
+  stq::testing::TempDir Tmp;
+  ASSERT_TRUE(Tmp.valid());
+  server::ServerOptions Opts;
+  Opts.SocketPath = Tmp.path("stq.sock");
+  ServerFixture Fix(Opts);
+  ASSERT_TRUE(Fix.ok());
+
+  for (const char *Op : {"/", "%"}) {
+    server::rpc::Request Run;
+    Run.Inv.Command = "run";
+    Run.Inv.Source = std::string("int main() { int x = -9223372036854775807 "
+                                 "- 1; return x ") +
+                     Op + " -1; }\n";
+    Run.Inv.HasSource = true;
+    server::ExecResult OneShot = server::executeInvocation(Run.Inv);
+    EXPECT_NE((OneShot.Out + OneShot.Err).find("1:57: division overflow"),
+              std::string::npos)
+        << OneShot.Out << OneShot.Err;
+    server::rpc::Response Resp;
+    std::string Error;
+    ASSERT_TRUE(roundTrip(Opts.SocketPath, Run, Resp, Error)) << Error;
+    EXPECT_EQ(Resp.Status, "ok");
+    EXPECT_EQ(Resp.Out, OneShot.Out);
+    EXPECT_EQ(Resp.Err, OneShot.Err);
+    EXPECT_EQ(Resp.ExitCode, OneShot.ExitCode);
+
+    server::rpc::Request Status;
+    Status.Inv.Command = "status";
+    ASSERT_TRUE(roundTrip(Opts.SocketPath, Status, Resp, Error)) << Error;
+    EXPECT_EQ(Resp.Status, "ok");
+    EXPECT_EQ(Resp.ExitCode, 0);
+  }
+}
+
 TEST(ServerEndToEnd, ShutdownRequestDrainsAndSavesCache) {
   stq::testing::TempDir Tmp;
   ASSERT_TRUE(Tmp.valid());

@@ -192,6 +192,11 @@ TEST(VmTrap, TaxonomyMatchesInterpreterByteForByte) {
        "2:24: division by zero"},
       {"int z = 0;\nint main() { return 10 % z; }",
        "2:24: division by zero"},
+      // INT64_MIN / -1 and % -1 overflow: a trap, never a host SIGFPE.
+      {"int main() { int x = -9223372036854775807 - 1; return x / -1; }",
+       "1:57: division overflow"},
+      {"int main() { int x = -9223372036854775807 - 1; return x % -1; }",
+       "1:57: division overflow"},
   };
   for (const TrapCase &T : Cases) {
     EngineRuns R = runAllEngines(T.Source, {});
